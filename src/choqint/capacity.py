@@ -35,40 +35,45 @@ MONOTONE_SLACK = 1e-10
 class MonotoneCertificate:
     """Verdict of a sampled nonnegativity-and-monotonicity check.
 
-    ``violation_index`` is the index of the first offending sample (None
-    when the verdict is Monotone); ``max_violation`` is the largest observed
-    negativity or adjacent decrease.
+    ``row_ok`` judges every sample: nonnegative and no decrease from its
+    predecessor, within the slack.  ``violation_index`` is the index of the
+    first offending sample (None when the verdict is Monotone);
+    ``max_violation`` is the largest observed negativity or adjacent
+    decrease.
     """
 
     grid: np.ndarray
-    violation_index: int | None
+    row_ok: tuple[bool, ...]
     max_violation: float
 
     @property
+    def violation_index(self) -> int | None:
+        return next((i for i, ok in enumerate(self.row_ok) if not ok), None)
+
+    @property
     def is_monotone(self) -> bool:
-        return self.violation_index is None
+        return all(self.row_ok)
 
     @property
     def verdict(self) -> str:
-        if self.violation_index is None:
+        if self.is_monotone:
             return "Monotone"
         return f"ViolatedAt({self.violation_index})"
 
 
 def certify_samples(grid, values, slack: float = MONOTONE_SLACK) -> MonotoneCertificate:
     """Certify that ``values`` sampled on ``grid`` are nonnegative and
-    nondecreasing within ``slack`` (absolute)."""
+    nondecreasing within ``slack`` (absolute), row by row."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    violation_index = None
+    row_ok = []
     max_violation = 0.0
     for i, v in enumerate(values):
         drop = max(-v, values[i - 1] - v if i else 0.0)
         if drop > max_violation:
             max_violation = drop
-        if drop > slack and violation_index is None:
-            violation_index = i
-    return MonotoneCertificate(grid, violation_index, max_violation)
+        row_ok.append(bool(drop <= slack))  # a NaN sample is not certified
+    return MonotoneCertificate(grid, tuple(row_ok), max_violation)
 
 
 def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201,
@@ -180,29 +185,20 @@ def distorted_capacity(d: Distortion, upper: float = 10.0, points: int = 401) ->
 
 def capacity_tau_derivative(c: IntervalCapacity, tau: float, t: float,
                             h: float | None = None, lower: float | None = None) -> float:
-    """Finite-difference approximation of d/dtau mu([tau, t]) at tau.
-
-    Central difference with step ``h`` (default 1e-5 * max(1, |t|)); the
-    step shrinks symmetrically near ``t`` (and near ``lower`` if given), and
-    degenerates to a one-sided difference at the endpoints themselves.
+    """Finite-difference approximation of d/dtau mu([tau, t]) at tau: the
+    scalar form of :func:`_tau_derivative_grid`, with step ``h`` (default
+    1e-5 * max(1, |t|)); one-sided at ``t`` (and at ``lower`` if given).
     """
     if h is None:
         h = 1e-5 * max(1.0, abs(t))
     if tau > t:
         raise ValueError("tau must not exceed t")
-    step = min(h, t - tau)
-    if lower is not None:
-        step = min(step, tau - lower)
-    if step > 0.0:
-        return float((c.evaluate(tau + step, t) - c.evaluate(tau - step, t)) / (2.0 * step))
-    if tau == t:  # backward one-sided
-        return float((c.evaluate(t, t) - c.evaluate(t - h, t)) / h)
-    return float((c.evaluate(tau + h, t) - c.evaluate(tau, t)) / h)
+    return float(_tau_derivative_grid(c, np.array([float(tau)]), t, h, lower)[0])
 
 
 def _tau_derivative_grid(c: IntervalCapacity, taus: np.ndarray, t: float,
                          h: float, lower: float | None) -> np.ndarray:
-    """Vectorized form of :func:`capacity_tau_derivative` for quadrature nodes.
+    """d/dtau mu([tau, t]) at every tau by differences with step ``h``.
 
     Steps shrink one-sidedly near the interval ends so the capacity is never
     evaluated outside [lower, t]; the difference stays second-order accurate

@@ -18,6 +18,7 @@ and, for a distorted Lebesgue measure mu([u, v]) = m(v - u),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -104,6 +105,12 @@ class ChoquetProblem:
         return self.measure.evaluate(u, v)
 
     def capacity(self) -> IntervalCapacity:
+        """The measure as an interval capacity."""
+        return self._capacity
+
+    @cached_property
+    def _capacity(self) -> IntervalCapacity:
+        # a distortion is validated on the problem's window once, not per call
         if isinstance(self.measure, Distortion):
             upper = max(self.t_grid[-1] - self.a, 1.0)
             return distorted_capacity(self.measure, upper=upper)
@@ -149,38 +156,44 @@ def choquet_level_set(problem: ChoquetProblem, t: float,
     return base + integrate(alpha_integrand, g_a, g_t, cfg)
 
 
+def _convolution_integrand(problem: ChoquetProblem, t: float):
+    """m'(u) g(t - u) on u = t - tau in [0, t - a].  A distortion with m'
+    singular at 0 (concave m) is then sampled near u = 0, where floats are
+    dense, instead of near tau = t."""
+    d, g, a = problem.measure, problem.g, problem.a
+    return lambda u: d.density(u) * evaluate(g, np.maximum(t - u, a))
+
+
+def _general_integrand(problem: ChoquetProblem, t: float):
+    """-d/dtau mu([tau, t]) g(tau) at tau = t - u, u in [0, t - a].
+
+    The finite-difference step 1e-5 max(1, t - a) scales with the interval
+    length, not with the position t, so a far-off origin does not coarsen it.
+    """
+    cap, g, a = problem.capacity(), problem.g, problem.a
+    h = 1e-5 * max(1.0, t - a)
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        taus = np.maximum(t - u, a)
+        return -_tau_derivative_grid(cap, taus, t, h, a) * evaluate(g, taus)
+
+    return integrand
+
+
 def choquet_convolution(problem: ChoquetProblem, t: float,
                         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Fast route for distorted Lebesgue measures: int_a^t m'(t-tau) g(tau) dtau."""
     if not isinstance(problem.measure, Distortion):
         raise TypeError("convolution route requires a distorted Lebesgue measure")
     _check_t(problem, t)
-    if t == problem.a:
-        return 0.0
-    m_prime = problem.measure.m_prime
-    g = problem.g
-
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        return evaluate(m_prime, t - taus) * evaluate(g, taus)
-
-    return integrate(integrand, problem.a, t, cfg)
+    return integrate(_convolution_integrand(problem, t), 0.0, t - problem.a, cfg)
 
 
 def choquet_general(problem: ChoquetProblem, t: float,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """General-capacity route: - int_a^t d/dtau mu([tau, t]) g(tau) dtau."""
     _check_t(problem, t)
-    if t == problem.a:
-        return 0.0
-    cap = problem.capacity()
-    g = problem.g
-    h = 1e-5 * max(1.0, abs(t))
-    a = problem.a
-
-    def integrand(taus: np.ndarray) -> np.ndarray:
-        return -_tau_derivative_grid(cap, taus, t, h, a) * evaluate(g, taus)
-
-    return integrate(integrand, a, t, cfg)
+    return integrate(_general_integrand(problem, t), 0.0, t - problem.a, cfg)
 
 
 class HereditaryCheck(NamedTuple):
@@ -205,33 +218,20 @@ def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
         raise InvalidIntervalError(
             f"split {a_split!r} must lie between a = {problem.a!r} and t = {t!r}"
         )
-    distorted = isinstance(problem.measure, Distortion)
-    lhs = (choquet_convolution if distorted else choquet_general)(problem, t, cfg)
-
+    if isinstance(problem.measure, Distortion):
+        integrand_of = _convolution_integrand
+    else:
+        integrand_of = _general_integrand
+    whole = integrand_of(problem, t)
+    lhs = integrate(whole, 0.0, t - problem.a, cfg)
     if a_split == t:
         main = 0.0
     else:
         sub = ChoquetProblem(a_split, problem.g, problem.measure,
                              np.array([a_split, t]))
-        main = (choquet_convolution if distorted else choquet_general)(sub, t, cfg)
-
-    if a_split == problem.a:
-        complement = 0.0
-    elif distorted:
-        m_prime = problem.measure.m_prime
-        g = problem.g
-        complement = integrate(
-            lambda taus: evaluate(m_prime, t - taus) * evaluate(g, taus),
-            problem.a, a_split, cfg)
-    else:
-        cap = problem.capacity()
-        g = problem.g
-        h = 1e-5 * max(1.0, abs(t))
-        complement = integrate(
-            lambda taus: -_tau_derivative_grid(cap, taus, t, h, problem.a)
-            * evaluate(g, taus),
-            problem.a, a_split, cfg)
-
+        main = integrate(integrand_of(sub, t), 0.0, t - a_split, cfg)
+    # [a, a_split] is u in [t - a_split, t - a]
+    complement = integrate(whole, t - a_split, t - problem.a, cfg)
     rhs = complement + main
     return HereditaryCheck(lhs, rhs, abs(lhs - rhs))
 

@@ -227,65 +227,37 @@ def run_integrate(args) -> RunReport:
     )
 
 
-def _monotone_flags(values: np.ndarray, slack: float) -> list[bool]:
-    """Row-wise admissibility: nonnegative and no decrease from the
-    predecessor (within slack)."""
-    flags = []
-    for i, v in enumerate(values):
-        ok = v >= -slack and (i == 0 or v >= values[i - 1] - slack)
-        flags.append(bool(ok))
-    return flags
-
-
-def run_derive(args) -> RunReport:
+def run_inverse(args) -> RunReport:
+    """derive and identify.  Each row's ``monotone_ok`` is the solver
+    certificate's judgement of that row; an excluded first row is not
+    certified and reads false."""
     started = time.perf_counter()
     grid = _grid(args)
     f = parse(args.f)
-    d = _distortion(args, grid[-1] - args.a)
-    report = solve_problem2(
-        f, d, args.a, grid,
+    settings = dict(
         quadrature=_quadrature(args),
         inversion=_inversion(args),
         residual_threshold=args.residual_tol,
         decisive_ratio=args.decisive_ratio,
+        monotone_slack=args.monotone_slack,
     )
-    flags = _monotone_flags(report.values, args.monotone_slack)
+    if args.command == "derive":
+        known = "m"
+        d = _distortion(args, grid[-1] - args.a)
+        report = solve_problem2(f, d, args.a, grid, **settings)
+    else:
+        known = "g"
+        report = solve_problem3(f, parse(args.g), args.a, grid, **settings)
+    cert = report.certificate
+    flags = [False] * report.first_point_excluded + list(cert.row_ok)
     rows = [[float(t), float(v), ok]
             for t, v, ok in zip(report.grid, report.values, flags)]
     return RunReport(
-        command="derive",
-        inputs=_echo_inputs(args, ("f", "m")),
+        command=args.command,
+        inputs=_echo_inputs(args, ("f", known)),
         columns=["t", "value", "monotone_ok"],
         rows=rows,
-        certificate=_certificate_dict(report.certificate,
-                                      report.first_point_excluded),
-        residual=report.residual,
-        verdict=report.verdict.value,
-        duration_seconds=time.perf_counter() - started,
-    )
-
-
-def run_identify(args) -> RunReport:
-    started = time.perf_counter()
-    grid = _grid(args)
-    f = parse(args.f)
-    g = parse(args.g)
-    report = solve_problem3(
-        f, g, args.a, grid,
-        quadrature=_quadrature(args),
-        inversion=_inversion(args),
-        residual_threshold=args.residual_tol,
-        decisive_ratio=args.decisive_ratio,
-    )
-    flags = _monotone_flags(report.values, args.monotone_slack)
-    rows = [[float(u), float(v), ok]
-            for u, v, ok in zip(report.grid, report.values, flags)]
-    return RunReport(
-        command="identify",
-        inputs=_echo_inputs(args, ("f", "g")),
-        columns=["t", "value", "monotone_ok"],
-        rows=rows,
-        certificate=_certificate_dict(report.certificate),
+        certificate=_certificate_dict(cert, report.first_point_excluded),
         residual=report.residual,
         verdict=report.verdict.value,
         duration_seconds=time.perf_counter() - started,
@@ -349,8 +321,8 @@ def run_verify(args) -> RunReport:
 
 _RUNNERS = {
     "integrate": run_integrate,
-    "derive": run_derive,
-    "identify": run_identify,
+    "derive": run_inverse,
+    "identify": run_inverse,
     "verify": run_verify,
 }
 

@@ -43,7 +43,7 @@ from .errors import (
     OriginNotZeroError,
 )
 from .exprlang import Expr, Num, Var, add, evaluate, substitute
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _gauss_nodes, integrate
 
 __all__ = [
     "InversionConfig",
@@ -281,12 +281,12 @@ def _flag_first_point(values: np.ndarray) -> bool:
     return bool(not math.isfinite(v0) or abs(v0) > 100.0 * (rest.max() + 1.0))
 
 
-def _noise_slack(values: np.ndarray) -> float:
-    """Certificate slack for inverted samples: the Stehfest floor is ~1e-7
-    relative, so flat stretches of a genuinely monotone recovery wiggle at
-    that scale and must not read as violations."""
+def _noise_slack(values: np.ndarray, floor: float = MONOTONE_SLACK) -> float:
+    """Certificate slack for inverted samples, at least ``floor``: the
+    Stehfest floor is ~1e-7 relative, so flat stretches of a genuinely
+    monotone recovery wiggle at that scale and must not read as violations."""
     scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return max(MONOTONE_SLACK, 1e-6 * scale)
+    return max(floor, 1e-6 * scale)
 
 
 def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: float,
@@ -319,22 +319,20 @@ def _refine_cells(points: np.ndarray, per_cell: int = 3) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _segment_convolution(kernel_density, g_values_fn, a: float, t: float,
-                         knots: np.ndarray, nodes: int = 16) -> float:
-    """int_a^t kernel_density(t - tau) g(tau) dtau where g is only piecewise
-    smooth with the given knots: Gauss-Legendre cellwise, never across a knot."""
-    if t <= a:
+def _segment_convolution(kernel, factor, span: float, knots: np.ndarray,
+                         nodes: int = 16) -> float:
+    """int_0^span kernel(w) factor(span - w) dw, where ``factor`` is only
+    piecewise smooth with the given knots (offsets in [0, span]):
+    Gauss-Legendre cellwise, never across a knot."""
+    if span <= 0.0:
         return 0.0
-    cuts = np.unique(np.clip(knots, a, t))
-    cuts = np.concatenate(([a], cuts, [t]))
-    cuts = np.unique(cuts)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    cuts = np.unique(np.concatenate(([0.0, span], span - np.clip(knots, 0.0, span))))
+    x, w = _gauss_nodes(nodes)
     mids = 0.5 * (cuts[1:] + cuts[:-1])
     halves = 0.5 * (cuts[1:] - cuts[:-1])
-    taus = mids[:, None] + halves[:, None] * x[None, :]
-    flat = taus.ravel()
-    vals = (np.asarray(kernel_density(t - flat), dtype=float)
-            * np.asarray(g_values_fn(flat), dtype=float)).reshape(taus.shape)
+    ws = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    vals = (np.asarray(kernel(ws), dtype=float)
+            * np.asarray(factor(span - ws), dtype=float)).reshape(mids.size, -1)
     return float(np.sum(halves * (vals @ w)))
 
 
@@ -376,68 +374,103 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     return SolveReport(grid, values, cert, residual, verdict)
 
 
-def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
-                   quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-                   inversion: InversionConfig = DEFAULT_INVERSION,
-                   transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
-                   residual_threshold: float = RESIDUAL_THRESHOLD,
-                   decisive_ratio: float = DECISIVE_RATIO) -> SolveReport:
-    """Recover the derivative g of f with respect to the distorted measure.
+def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
+                   inversion: InversionConfig, transform_quadrature: QuadratureConfig,
+                   residual_threshold: float, decisive_ratio: float,
+                   monotone_slack: float, *, denominator: Callable[[float], float],
+                   denominator_name: str, kernel: Callable[[np.ndarray], np.ndarray],
+                   recovers_m: bool, admissible: tuple = ()) -> SolveReport:
+    """The inverse pipeline shared by problems 2 and 3, on offsets u = t - a.
 
-    The recovered samples are certified for admissibility and fed back (as a
-    piecewise-linear interpolant) through the forward convolution; f must be
-    reproduced within ``residual_threshold`` for the verdict Exists.
+    Checks f(a) = 0 and that f (and the ``admissible`` named expressions)
+    are in F+, inverts F_a(s) / denominator(s), excludes a wild first
+    sample, and certifies the rest.  The recovered factor is then sampled
+    denser than the report grid (interior subdivision plus a graded ladder
+    in the leading gap; otherwise chord error dominates the residual
+    regardless of how good the recovery is), interpolated, and convolved
+    against ``kernel``; f must be reproduced within ``residual_threshold``
+    for the verdict Exists.  With ``recovers_m`` the samples are a
+    distortion m, pinned at m(0) = 0, whose step density meets the kernel
+    g_a, and the report grid is u itself; otherwise they are g, extrapolated
+    linearly to u = 0, against the kernel m'.
     """
     f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
         raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")
     grid_in = as_grid(t_grid)
-    cert_in = check_f_plus(f, a, grid_in[-1] if grid_in[-1] > a else a + 1.0)
-    if not cert_in.is_monotone:
-        raise NotInFPlusError(f"f is not admissible: {cert_in.verdict}")
+    t_max = grid_in[-1] if grid_in[-1] > a else a + 1.0
+    for name, h in (("f", f), *admissible):
+        cert_in = check_f_plus(h, a, t_max)
+        if not cert_in.is_monotone:
+            raise NotInFPlusError(f"{name} is not admissible: {cert_in.verdict}")
 
-    Ff = transform_of(_shifted(f, a), transform_quadrature)
-    M = transform_of(d.m, transform_quadrature)
+    Fa = transform_of(_shifted(f, a), transform_quadrature)
 
     def Q(s: float) -> float:
-        denominator = s * M(s)
-        if denominator == 0.0 or abs(denominator) < 1e-280:
-            raise GVanishesError(f"s M(s) vanished at s = {s!r}")
-        return Ff(s) / denominator
+        den = denominator(s)
+        if den == 0.0 or abs(den) < 1e-280:
+            raise GVanishesError(f"{denominator_name} vanished at s = {s!r}")
+        return Fa(s) / den
 
     grid = _inversion_grid(a, grid_in)
-    values = _invert_on_grid(Q, grid - a, inversion)
+    offsets = grid - a
+    values = _invert_on_grid(Q, offsets, inversion)
+    report_grid = offsets if recovers_m else grid
 
     excluded = _flag_first_point(values)
-    kept_grid = grid[1:] if excluded else grid
-    kept_values = values[1:] if excluded else values
-    cert = certify_samples(kept_grid, kept_values, _noise_slack(kept_values))
+    kept = slice(1, None) if excluded else slice(None)
+    kept_values = values[kept]
+    cert = certify_samples(report_grid[kept], kept_values,
+                           _noise_slack(kept_values, monotone_slack))
 
-    # verification: convolve the interpolated recovery back through m'.
-    # The interpolant samples the recovered function denser than the report
-    # grid (interior subdivision plus a graded ladder in the leading gap);
-    # otherwise chord error dominates the residual regardless of how good
-    # the recovery is.
-    lead = kept_grid[0] - a
-    aux = a + lead * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    ver_t = np.unique(np.concatenate((aux, _refine_cells(kept_grid))))
-    ver_v = _invert_on_grid(Q, ver_t - a, inversion)
-    anchor = max(0.0, ver_v[0] - (ver_v[1] - ver_v[0])
-                 / (ver_t[1] - ver_t[0]) * (ver_t[0] - a))
-    knots_t = np.concatenate(([a], ver_t))
-    knots_v = np.concatenate(([anchor], ver_v))
-    recovered = PiecewiseLinear(knots_t, knots_v)
-    density = lambda u: evaluate(d.m_prime, u)
+    kept_u = offsets[kept]
+    ladder = kept_u[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
+    ver_u = np.unique(np.concatenate((ladder, _refine_cells(kept_u))))
+    ver_v = _invert_on_grid(Q, ver_u, inversion)
+    knots_u = np.concatenate(([0.0], ver_u))
+    if recovers_m:
+        slopes = np.diff(np.concatenate(([0.0], ver_v))) / np.diff(knots_u)
+
+        def recovered(u):  # the step density of the piecewise-linear m
+            cell = np.searchsorted(knots_u, u, side="right") - 1
+            return slopes[np.clip(cell, 0, slopes.size - 1)]
+    else:
+        anchor = max(0.0, ver_v[0] - (ver_v[1] - ver_v[0])
+                     / (ver_u[1] - ver_u[0]) * ver_u[0])
+        recovered = PiecewiseLinear(knots_u, np.concatenate(([anchor], ver_v)))
     residual = 0.0
-    for t in kept_grid:
-        reproduced = _segment_convolution(density, recovered, a, float(t), knots_t,
+    for t, u in zip(grid[kept], kept_u):
+        reproduced = _segment_convolution(kernel, recovered, float(u), knots_u,
                                           nodes=quadrature.nodes_per_subinterval)
         target = evaluate(f, float(t))
         residual = max(residual, abs(reproduced - target) / (1.0 + abs(target)))
 
-    verdict = _solver_verdict(kept_values, cert, residual,
-                              residual_threshold, decisive_ratio)
-    return SolveReport(grid, values, cert, residual, verdict, excluded)
+    verdict = _solver_verdict(kept_values, cert, residual, residual_threshold,
+                              decisive_ratio, strictly_increasing=recovers_m)
+    return SolveReport(report_grid, values, cert, residual, verdict, excluded)
+
+
+def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
+                   quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
+                   inversion: InversionConfig = DEFAULT_INVERSION,
+                   transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
+                   residual_threshold: float = RESIDUAL_THRESHOLD,
+                   decisive_ratio: float = DECISIVE_RATIO,
+                   monotone_slack: float = MONOTONE_SLACK) -> SolveReport:
+    """Recover the derivative g of f with respect to the distorted measure.
+
+    g(t) = Linv[F_a(s) / (s M(s))](t - a).  The recovered samples are
+    certified for admissibility (slack at least ``monotone_slack``) and fed
+    back, as a piecewise-linear interpolant, through the forward
+    convolution against m'; f must be reproduced within
+    ``residual_threshold`` for the verdict Exists.
+    """
+    M = transform_of(d.m, transform_quadrature)
+    return _solve_inverse(
+        f, a, t_grid, quadrature, inversion, transform_quadrature,
+        residual_threshold, decisive_ratio, monotone_slack,
+        denominator=lambda s: s * M(s), denominator_name="s M(s)",
+        kernel=d.density, recovers_m=False)
 
 
 def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
@@ -445,67 +478,19 @@ def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
                    inversion: InversionConfig = DEFAULT_INVERSION,
                    transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
                    residual_threshold: float = RESIDUAL_THRESHOLD,
-                   decisive_ratio: float = DECISIVE_RATIO) -> SolveReport:
+                   decisive_ratio: float = DECISIVE_RATIO,
+                   monotone_slack: float = MONOTONE_SLACK) -> SolveReport:
     """Identify the distortion m from f and g.
 
-    The distortion lives on interval lengths, so the report grid is the
-    input grid shifted to the measure domain (t - a).  Verdict Exists needs
-    nonnegative, strictly increasing samples whose convolution against g
-    reproduces f within ``residual_threshold``.
+    m(u) = Linv[F_a(s) / (s G_a(s))](u).  The distortion lives on interval
+    lengths, so the report grid is the input grid shifted to the measure
+    domain (t - a).  Verdict Exists needs nonnegative, strictly increasing
+    samples whose convolution against g reproduces f within
+    ``residual_threshold``.
     """
-    f_at_a = evaluate(f, a)
-    if abs(f_at_a) > 1e-9:
-        raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")
-    grid_in = as_grid(t_grid)
-    t_max = grid_in[-1] if grid_in[-1] > a else a + 1.0
-    for name, h in (("f", f), ("g", g)):
-        cert_in = check_f_plus(h, a, t_max)
-        if not cert_in.is_monotone:
-            raise NotInFPlusError(f"{name} is not admissible: {cert_in.verdict}")
-
-    Ff = transform_of(_shifted(f, a), transform_quadrature)
     G = transform_of(_shifted(g, a), transform_quadrature)
-
-    def Q(s: float) -> float:
-        G_s = G(s)
-        if G_s == 0.0 or abs(G_s) < 1e-280:
-            raise GVanishesError(f"G_a(s) vanished at s = {s!r}")
-        return Ff(s) / (s * G_s)
-
-    grid_t = _inversion_grid(a, grid_in)
-    lengths = grid_t - a
-    values = _invert_on_grid(Q, lengths, inversion)
-
-    excluded = _flag_first_point(values)
-    kept_lengths = lengths[1:] if excluded else lengths
-    kept_values = values[1:] if excluded else values
-    kept_times = grid_t[1:] if excluded else grid_t
-    cert = certify_samples(kept_lengths, kept_values, _noise_slack(kept_values))
-
-    # verification: the recovered distortion is piecewise linear (anchored at
-    # m(0) = 0, sampled denser than the report grid), its density a step
-    # function, so the convolution is an exact sum of cellwise integrals of g
-    lead = kept_lengths[0]
-    aux_u = lead * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    ver_u = np.unique(np.concatenate((aux_u, _refine_cells(kept_lengths))))
-    ver_m = _invert_on_grid(Q, ver_u, inversion)
-    knots_u = np.concatenate(([0.0], ver_u))
-    knots_m = np.concatenate(([0.0], ver_m))
-    slopes = np.diff(knots_m) / np.diff(knots_u)
-    x, w = np.polynomial.legendre.leggauss(quadrature.nodes_per_subinterval)
-    residual = 0.0
-    for t in kept_times:
-        total = 0.0
-        for j in range(slopes.size):
-            lo = float(t) - min(knots_u[j + 1], float(t) - a)
-            hi = float(t) - knots_u[j]
-            if hi <= lo:
-                continue
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            total += slopes[j] * half * float(w @ evaluate(g, mid + half * x))
-        target = evaluate(f, float(t))
-        residual = max(residual, abs(total - target) / (1.0 + abs(target)))
-
-    verdict = _solver_verdict(kept_values, cert, residual, residual_threshold,
-                              decisive_ratio, strictly_increasing=True)
-    return SolveReport(lengths, values, cert, residual, verdict, excluded)
+    return _solve_inverse(
+        f, a, t_grid, quadrature, inversion, transform_quadrature,
+        residual_threshold, decisive_ratio, monotone_slack,
+        denominator=lambda s: s * G(s), denominator_name="s G_a(s)",
+        kernel=lambda u: evaluate(g, a + u), recovers_m=True, admissible=(("g", g),))

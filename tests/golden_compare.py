@@ -127,7 +127,7 @@ def value_bounds(args, report) -> np.ndarray:
 def _verification_knots(kept: np.ndarray) -> np.ndarray:
     """The offsets the solver inverts again to verify its recovery: a
     graded ladder in the leading gap plus three interior points per cell
-    (``laplace.solve_problem2``/``solve_problem3``)."""
+    (``laplace._solve_inverse``)."""
     ladder = kept[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
     interior = kept[:-1, None] + np.diff(kept)[:, None] * (np.arange(1, 4) / 4.0)
     return np.unique(np.concatenate((ladder, kept, interior.ravel())))

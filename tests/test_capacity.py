@@ -110,6 +110,19 @@ class TestCertifySamples:
         assert cert.violation_index == 2
         assert cert.max_violation == pytest.approx(0.75)
 
+    def test_rows_judged_one_by_one(self):
+        # a row fails when negative or below its predecessor; the first
+        # failing row is the violation index
+        cert = certify_samples([0, 1, 2, 3, 4], [0.0, 1.0, 0.25, 2.0, -1.0])
+        assert cert.row_ok == (True, True, False, True, False)
+        assert cert.violation_index == 2
+        assert not cert.is_monotone
+
+    def test_nan_sample_is_not_certified(self):
+        cert = certify_samples([0, 1, 2], [0.0, float("nan"), 1.0])
+        assert cert.row_ok[1] is False
+        assert cert.violation_index == 1
+
 
 class TestTauDerivative:
     def test_distorted_quadratic(self):

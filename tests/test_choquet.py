@@ -106,6 +106,15 @@ class TestConvolutionRoute:
         v1 = choquet_convolution(scaled, 2.0)
         assert v1 == pytest.approx(3.5 * v0, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [0.0, 5.0])
+    def test_concave_distortion_singular_at_zero(self, a):
+        # m' = 1/(2 sqrt(u)) blows up at u = 0, i.e. at tau = t:
+        # int_0^T (T - u)^1 u^(-1/2) / 2 du
+        d = Distortion.from_expression("sqrt(t)", upper=2.0)
+        p = ChoquetProblem(a, parse(f"t - ({a!r})"), d, np.array([a, a + 2.0]))
+        want = 0.5 * beta_integral(1.0, -0.5, 2.0)
+        assert choquet_convolution(p, a + 2.0) == pytest.approx(want, rel=1e-9)
+
 
 class TestGeneralRoute:
     def test_square_root_through_capacity(self):
@@ -129,6 +138,19 @@ class TestGeneralRoute:
         p = sqrt_problem(0.0, [0.0, 1.5])
         conv = choquet_convolution(p, 1.5)
         assert choquet_general(p, 1.5) == pytest.approx(conv, rel=1e-6)
+
+    def test_distortion_validated_once_per_problem(self):
+        p = sqrt_problem(0.0, [0.0, 1.5])
+        assert p.capacity() is p.capacity()
+
+    def test_far_origin_keeps_its_accuracy(self):
+        # the difference step scales with t - a, so a = 1000 on a length-2
+        # interval is as accurate as a = 0: int_0^2 2u (2 - u)^1.5 du
+        a = 1000.0
+        d = Distortion.from_expression("t^2", upper=2.0)
+        p = ChoquetProblem(a, parse(f"pow(t - {a!r}, 1.5)"), d, np.array([a, a + 2.0]))
+        want = 2.0 * beta_integral(1.5, 1.0, 2.0)
+        assert choquet_general(p, a + 2.0) == pytest.approx(want, rel=1e-7)
 
 
 def scan_oracle(problem, t, n_alpha=4001, n_tau=20001):

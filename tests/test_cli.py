@@ -181,3 +181,64 @@ class TestOutputs:
         assert ts[-1] == pytest.approx(3.0)
         row = min(data["results"], key=lambda r: abs(r["t"] - 1.0))
         assert row["value"] == pytest.approx(693.0 / 256.0 * row["t"] ** 5, rel=1e-3)
+
+
+def _flags_follow_certificate(report: dict) -> None:
+    """Every certified row's ``monotone_ok`` is the certificate's judgement
+    of that row; an excluded first row is uncertified and reads false."""
+    cert = report["certificate"]
+    flags = [row["monotone_ok"] for row in report["results"]]
+    if cert["first_point_excluded"]:
+        assert flags[0] is False
+        flags = flags[1:]
+    assert all(flags) == cert["monotone"]
+    if not cert["monotone"]:
+        assert flags.index(False) == cert["violation_index"]
+
+
+class TestCertificateFlags:
+    @pytest.mark.parametrize("name,argv", [
+        (name, argv) for name, argv, _ in GOLDEN_RUNS
+        if argv[0] in ("derive", "identify") and "json" in argv])
+    def test_pinned_runs_flags_match_certificate(self, name, argv):
+        _flags_follow_certificate(json.loads(run_cli(*argv).stdout))
+
+    def test_monotone_slack_moves_flags_and_certificate_together(self):
+        # the slack floor lifts every row and the certificate at once; the
+        # verdict still rests on the decisive-ratio check
+        proc = run_cli("derive", "--f", "sqrt(t-1)", "--m", "t^2/2", "--a", "1",
+                       "--t", "1.1:3:10", "--format", "json", "--monotone-slack", "10")
+        assert proc.returncode == 5
+        data = json.loads(proc.stdout)
+        _flags_follow_certificate(data)
+        assert data["certificate"]["monotone"] is True
+        assert all(row["monotone_ok"] for row in data["results"])
+        assert data["verdict"] == "DoesNotExistInFPlus"
+
+    def test_identify_reports_excluded_first_point(self):
+        proc = run_cli("identify", "--f", "sqrt(t-1)", "--g", "pow(t-1,2)", "--a", "1",
+                       "--t", "1:4:12", "--format", "json")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["certificate"]["first_point_excluded"] is True
+        assert data["results"][0]["monotone_ok"] is False
+        _flags_follow_certificate(data)
+
+
+class TestRouteRobustness:
+    def test_verify_passes_far_from_the_origin(self):
+        # the general route's difference step follows t - a, not |t|
+        proc = run_cli("verify", "--g", "pow(t - 1000, 1.5)", "--m", "t^2", "--a", "1000",
+                       "--t", "1000:1002:30", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["properties"]["max_general_gap"] <= 1e-5
+
+    def test_concave_distortion_integrates(self):
+        # m' = 1/(2 sqrt(u)) is singular at u = 0; int_0^1 m'(u) (1 - u) du = 2/3
+        proc = run_cli("integrate", "--g", "t", "--m", "sqrt(t)", "--a", "0",
+                       "--t", "0:1:5", "--verify", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        last = json.loads(proc.stdout)["results"][-1]
+        assert last["t"] == 1
+        assert last["value"] == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert last["oracle_value"] == pytest.approx(2.0 / 3.0, abs=1e-8)
