@@ -147,19 +147,50 @@ def _as_callable(h: TransformSource) -> Callable[[np.ndarray], np.ndarray]:
     return lambda pts: np.asarray(h(pts), dtype=float)
 
 
-def _truncation_point(fn, s: float, target: float) -> float:
+class _SampleStore:
+    """The samples of one transformed function, shared by every ``s`` it
+    serves.
+
+    ``ladder[k]`` is the tail penalty log(1 + |h(2^k)|) of the truncation
+    search (inf where h overflows), grown one rung at a time as searches
+    reach it, so a function defined only on a window raises where a search
+    leaves the window, never earlier.  ``passes`` maps a quadrature pass,
+    (T, number of nodes), to h at its nodes: the nodes of a pass over
+    [0, T] depend on nothing else, as the quadrature settings are fixed
+    per store.
+    """
+
+    def __init__(self, h: TransformSource):
+        self.fn = _as_callable(h)
+        self.ladder: list[float] = []
+        self.passes: dict[tuple[float, int], np.ndarray] = {}
+
+    def rung(self, k: int) -> float:
+        while len(self.ladder) <= k:
+            try:
+                h_T = abs(float(self.fn(np.array([2.0 ** len(self.ladder)]))[0]))
+                penalty = math.log1p(h_T) if math.isfinite(h_T) else math.inf
+            except DomainError as exc:
+                if exc.reason != "non-finite result":
+                    raise
+                penalty = math.inf  # overflowed: the bound certainly fails here
+            self.ladder.append(penalty)
+        return self.ladder[k]
+
+    def values(self, T: float, points: np.ndarray) -> np.ndarray:
+        key = (T, points.size)
+        if key not in self.passes:
+            self.passes[key] = self.fn(points)
+        return self.passes[key]
+
+
+def _truncation_point(store: _SampleStore, s: float, target: float) -> float:
     """Smallest power-of-two T with exp(-sT) (1+|h(T)|) (1+1/s) <= target."""
     log_target = math.log(target)
+    log_factor = math.log1p(1.0 / s)
     T = 1.0
-    for _ in range(120):
-        try:
-            h_T = abs(float(fn(np.array([T]))[0]))
-            penalty = math.log1p(h_T) if math.isfinite(h_T) else math.inf
-        except DomainError as exc:
-            if exc.reason != "non-finite result":
-                raise
-            penalty = math.inf  # overflowed: the bound certainly fails here
-        if -s * T + penalty + math.log1p(1.0 / s) <= log_target:
+    for k in range(120):
+        if -s * T + store.rung(k) + log_factor <= log_target:
             return T
         T *= 2.0
     raise DivergentIntegralError(
@@ -169,7 +200,8 @@ def _truncation_point(fn, s: float, target: float) -> float:
 
 
 def forward_laplace(h: TransformSource, s: float,
-                    cfg: QuadratureConfig = TRANSFORM_QUADRATURE) -> float:
+                    cfg: QuadratureConfig = TRANSFORM_QUADRATURE, *,
+                    _store: _SampleStore | None = None) -> float:
     """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail.
 
     T satisfies exp(-sT) (1 + h(T)) (1 + 1/s) <= 1e-12 and is then extended
@@ -177,34 +209,50 @@ def forward_laplace(h: TransformSource, s: float,
     (absolute tail errors at different s would otherwise be amplified by the
     Stehfest weights).  ``h`` must be defined and polynomially bounded on
     [0, inf); exponential growth raises :class:`DivergentIntegralError`.
+
+    ``h`` is sampled through a sample store: the truncation ladder h(2^k)
+    and h at the nodes of each quadrature pass.  ``transform_of`` passes
+    the store of its function, so every s it serves shares the samples;
+    called alone, the transform builds a store of its own and drops it on
+    return.  Either way the values are the same bits.
     """
     s = float(s)
     if s <= 0.0:
         raise NonPositiveSError(f"transform variable must be positive, got {s!r}")
-    fn = _as_callable(h)
-    T = _truncation_point(fn, s, TAIL_BOUND)
+    store = _SampleStore(h) if _store is None else _store
 
-    def integrand(points: np.ndarray) -> np.ndarray:
-        return np.exp(-s * points) * fn(points)
+    def transform_to(T: float) -> float:
+        def integrand(points: np.ndarray) -> np.ndarray:
+            return np.exp(-s * points) * store.values(T, points)
 
-    first = integrate(integrand, 0.0, T, cfg, absolute_floor=0.0, strict=False)
+        return integrate(integrand, 0.0, T, cfg, absolute_floor=0.0, strict=False)
+
+    T = _truncation_point(store, s, TAIL_BOUND)
+    first = transform_to(T)
     if first == 0.0:
         return first
     target = min(TAIL_BOUND, 1e-14 * abs(first))
-    T_refined = _truncation_point(fn, s, target)
+    T_refined = _truncation_point(store, s, target)
     if T_refined <= T:
         return first
-    return integrate(integrand, 0.0, T_refined, cfg, absolute_floor=0.0, strict=False)
+    return transform_to(T_refined)
 
 
 def transform_of(h: TransformSource,
                  cfg: QuadratureConfig = TRANSFORM_QUADRATURE) -> Callable[[float], float]:
-    """Memoized s -> L(h)(s), the working representation of a transform."""
+    """Memoized s -> L(h)(s), the working representation of a transform.
+
+    The closure owns one sample store of ``h`` (see ``forward_laplace``):
+    h is evaluated once per truncation rung and once per quadrature pass,
+    whatever the number of s served.  The samples live as long as the
+    closure, which a solver keeps for one solve.
+    """
+    store = _SampleStore(h)
     cache: dict[float, float] = {}
 
     def fn(s: float) -> float:
         if s not in cache:
-            cache[s] = forward_laplace(h, s, cfg)
+            cache[s] = forward_laplace(h, s, cfg, _store=store)
         return cache[s]
 
     return fn

@@ -65,6 +65,25 @@ def graded_mesh(a: float, b: float, n: int, grading: float) -> np.ndarray:
     return mesh
 
 
+# a transform revisits the passes over [0, T] of its few windows T for
+# every s it serves, so their nodes are kept
+@lru_cache(maxsize=64)
+def _pass_nodes(a: float, b: float, cells: int, grading: float,
+                nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes (cells x nodes) and cell half-widths of one pass."""
+    mesh = graded_mesh(a, b, cells, grading)
+    x, _ = _gauss_nodes(nodes)
+    mids = 0.5 * (mesh[1:] + mesh[:-1])
+    halves = 0.5 * (mesh[1:] - mesh[:-1])
+    points = mids[:, None] + halves[:, None] * x[None, :]
+    # rounding in tiny graded cells can push a node an ulp past an endpoint,
+    # which matters for integrands defined only inside [a, b]
+    np.clip(points, min(a, b), max(a, b), out=points)
+    points.flags.writeable = False
+    halves.flags.writeable = False
+    return points, halves
+
+
 def composite_gauss_legendre(
     fn: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -73,16 +92,11 @@ def composite_gauss_legendre(
     subintervals: int | None = None,
 ) -> float:
     """Single fixed-mesh pass; ``fn`` must map an ndarray of points to values."""
-    mesh = graded_mesh(a, b, subintervals or cfg.subintervals, cfg.endpoint_grading)
-    x, w = _gauss_nodes(cfg.nodes_per_subinterval)
-    mids = 0.5 * (mesh[1:] + mesh[:-1])
-    halves = 0.5 * (mesh[1:] - mesh[:-1])
-    points = mids[:, None] + halves[:, None] * x[None, :]
-    # rounding in tiny graded cells can push a node an ulp past an endpoint,
-    # which matters for integrands defined only inside [a, b]
-    np.clip(points, min(a, b), max(a, b), out=points)
+    points, halves = _pass_nodes(a, b, subintervals or cfg.subintervals,
+                                 cfg.endpoint_grading, cfg.nodes_per_subinterval)
+    _, w = _gauss_nodes(cfg.nodes_per_subinterval)
     values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
-    return float(np.sum(halves * (values @ w)))
+    return float((halves * (values @ w)).sum())
 
 
 def integrate(

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from choqint import (
     Distortion,
     DivergentIntegralError,
+    DomainError,
     GVanishesError,
     InversionConfig,
     NonPositiveSError,
@@ -103,6 +105,66 @@ class TestForwardLaplace:
         n_calls = len(calls)
         F(1.0)
         assert len(calls) == n_calls
+
+
+#: 32 transform variables whose truncation windows run from 1 to 1024,
+#: served out of order
+SHARED_S = np.geomspace(0.05, 40.0, 32)[np.random.default_rng(0).permutation(32)]
+
+
+def spied(h):
+    """``h`` and the log of its calls, one (size, largest point) per call."""
+    calls = []
+
+    def fn(points):
+        points = np.asarray(points)
+        calls.append((points.size, float(points.max())))
+        return h(points)
+
+    return fn, calls
+
+
+class TestSharedSamples:
+    """One transform_of samples its function once for all the s it serves."""
+
+    @pytest.mark.parametrize("h", [parse("sqrt(t) + t^2/2"),
+                                   lambda t: np.sqrt(t) * (1.0 + t)],
+                             ids=["expr", "callable"])
+    def test_same_bits_as_a_standalone_transform(self, h):
+        F = transform_of(h)
+        for s in SHARED_S:
+            assert F(s) == forward_laplace(h, s)
+
+    def test_window_defined_function(self):
+        # the truncation search stops inside [0, 40] for a large s; a small
+        # s reaches the rung t = 64 and raises there, as a standalone call
+        h = parse("sqrt(40 - t)")
+        F = transform_of(h)
+        assert F(8.0) == forward_laplace(h, 8.0)
+        assert F(8.0) == pytest.approx(math.sqrt(40.0) / 8.0 * (1.0 - 1.0 / 640.0), rel=1e-5)
+        message = "sqrt of a negative in 'sqrt(40.0 - t)' at t = 64.0"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            F(0.5)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            forward_laplace(h, 0.5)
+        assert F(4.0) == forward_laplace(h, 4.0)
+
+    def test_each_rung_and_pass_is_evaluated_once(self):
+        fn, calls = spied(lambda t: np.sqrt(t) * (1.0 + t))
+        F = transform_of(fn)
+        for s in SHARED_S:
+            F(s)
+        rungs = [top for size, top in calls if size == 1]
+        # a pass over [0, T] has its last node just below T
+        passes = [(size, 2.0 ** math.ceil(math.log2(top))) for size, top in calls if size > 1]
+        assert rungs == [2.0 ** k for k in range(len(rungs))]
+        assert len(passes) == len(set(passes))
+        assert len({T for _, T in passes}) >= 4
+
+        alone, alone_calls = spied(lambda t: np.sqrt(t) * (1.0 + t))
+        for s in SHARED_S:
+            forward_laplace(alone, s)
+        assert len(alone_calls) > 5 * len(calls)
 
 
 class TestInvertLaplace:
