@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDistortionError
+from .errors import InvalidDistortionError, NotInFPlusError
 from .exprlang import Expr, differentiate, evaluate, parse, render
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
 
 #: below quadrature noise, above double-precision rounding
 MONOTONE_SLACK = 1e-10
+
+#: a distortion is exact input: m(0) = 0 and its samples are held to rounding
+DISTORTION_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,19 @@ def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201,
     return certify_samples(grid, evaluate(h, grid), slack)
 
 
+def require_f_plus(name: str, h: Expr, a: float, t_end: float) -> None:
+    """The admissibility gate: certify ``h`` in F+ on its working window
+    [a, t_end] ([a, a + 1] when t_end = a), or raise :class:`NotInFPlusError`
+    naming the function, the window and the first violated sample."""
+    t_max = t_end if t_end > a else a + 1.0
+    cert = check_f_plus(h, a, t_max)
+    if not cert.is_monotone:
+        raise NotInFPlusError(
+            f"{name} is not nonnegative and nondecreasing on "
+            f"[{float(a)!r}, {float(t_max)!r}]: {cert.verdict}"
+        )
+
+
 @dataclass(frozen=True)
 class Distortion:
     """A distortion ``m`` together with its symbolic derivative."""
@@ -118,22 +134,17 @@ class Distortion:
 
 def _validate_distortion(expr: Expr, upper: float, points: int) -> None:
     at_zero = evaluate(expr, 0.0)
-    if abs(at_zero) > 1e-12:
+    if abs(at_zero) > DISTORTION_SLACK:
         raise InvalidDistortionError(
             f"m(0) = {at_zero!r}, expected 0 for '{render(expr)}'"
         )
     grid = np.linspace(0.0, upper, points)
     values = evaluate(expr, grid)
-    if np.any(values < -1e-12):
-        i = int(np.argmax(values < -1e-12))
+    cert = certify_samples(grid, values, DISTORTION_SLACK)
+    if not cert.is_monotone:
+        t_bad = float(grid[cert.violation_index])
         raise InvalidDistortionError(
-            f"m({grid[i]!r}) = {values[i]!r} is negative for '{render(expr)}'"
-        )
-    drops = values[:-1] - values[1:]
-    if np.any(drops > 1e-12):
-        i = int(np.argmax(drops > 1e-12))
-        raise InvalidDistortionError(
-            f"m decreases between {grid[i]!r} and {grid[i + 1]!r} for '{render(expr)}'"
+            f"m is negative or decreasing at t = {t_bad!r} ({cert.verdict}) for '{render(expr)}'"
         )
 
 
@@ -197,7 +208,7 @@ def capacity_tau_derivative(c: IntervalCapacity, tau: float, t: float,
 
 
 def _tau_derivative_grid(c: IntervalCapacity, taus: np.ndarray, t: float,
-                         h: float, lower: float | None) -> np.ndarray:
+                         h: float | np.ndarray, lower: float | None) -> np.ndarray:
     """d/dtau mu([tau, t]) at every tau by differences with step ``h``.
 
     Steps shrink one-sidedly near the interval ends so the capacity is never

@@ -26,12 +26,11 @@ import numpy as np
 from .capacity import (
     Distortion,
     IntervalCapacity,
-    MonotoneCertificate,
     _tau_derivative_grid,
-    check_f_plus,
     distorted_capacity,
+    require_f_plus,
 )
-from .errors import InvalidIntervalError, NotInFPlusError
+from .errors import InvalidIntervalError
 from .exprlang import Expr, Num, Var, add, evaluate, substitute
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
@@ -80,23 +79,13 @@ class ChoquetProblem:
     g: Expr
     measure: Measure
     t_grid: np.ndarray
-    certificate: MonotoneCertificate | None = None
 
     def __post_init__(self):
         grid = as_grid(self.t_grid)
         if grid[0] < self.a:
             raise ValueError("t_grid must start at or after a")
         object.__setattr__(self, "t_grid", grid)
-        if self.certificate is None:
-            t_max = grid[-1] if grid[-1] > self.a else self.a + 1.0
-            cert = check_f_plus(self.g, self.a, t_max)
-            object.__setattr__(self, "certificate", cert)
-        if not self.certificate.is_monotone:
-            raise NotInFPlusError(
-                "integrand is not nonnegative and nondecreasing on "
-                f"[{float(self.a)!r}, {float(self.t_grid[-1])!r}]: "
-                f"{self.certificate.verdict}"
-            )
+        require_f_plus("g", self.g, self.a, grid[-1])
 
     def interval_measure(self, u, v):
         """mu([u, v]) under the problem's measure."""
@@ -167,15 +156,18 @@ def _convolution_integrand(problem: ChoquetProblem, t: float):
 def _general_integrand(problem: ChoquetProblem, t: float):
     """-d/dtau mu([tau, t]) g(tau) at tau = t - u, u in [0, t - a].
 
-    The finite-difference step 1e-5 max(1, t - a) scales with the interval
-    length, not with the position t, so a far-off origin does not coarsen it.
+    The difference step at u is min(h, 1e-5 min(u, t - a - u)).  h =
+    1e-5 max(1, t - a) follows the interval length, not the position t, so
+    a far-off origin does not coarsen it; the distance to the nearer end
+    keeps the step from straddling a singular m' of a concave m at tau = t.
     """
     cap, g, a = problem.capacity(), problem.g, problem.a
     h = 1e-5 * max(1.0, t - a)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         taus = np.maximum(t - u, a)
-        return -_tau_derivative_grid(cap, taus, t, h, a) * evaluate(g, taus)
+        steps = np.minimum(h, 1e-5 * np.minimum(u, t - a - u))
+        return -_tau_derivative_grid(cap, taus, t, steps, a) * evaluate(g, taus)
 
     return integrand
 

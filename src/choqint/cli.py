@@ -35,13 +35,7 @@ from .choquet import (
 )
 from .errors import (
     ChoqintError,
-    DivergentIntegralError,
-    DomainError,
-    GVanishesError,
     InvalidDistortionError,
-    InvalidIntervalError,
-    NonDifferentiableError,
-    NonPositiveSError,
     NotInFPlusError,
     OriginNotZeroError,
     ParseError,
@@ -66,11 +60,6 @@ EXIT_VERIFY_FAILED = 6
 
 class UsageError(ChoqintError):
     """Invalid run configuration (exits like an argparse usage error)."""
-
-
-_INADMISSIBLE = (NotInFPlusError, InvalidDistortionError, OriginNotZeroError)
-_NUMERICAL = (DomainError, DivergentIntegralError, InvalidIntervalError,
-              NonPositiveSError, GVanishesError, NonDifferentiableError)
 
 
 def _t_range(text: str) -> tuple[float, float, int]:
@@ -141,8 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(make, **fields):
+    """Build a config object; a value it rejects is a usage error."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _quadrature(args) -> QuadratureConfig:
-    return QuadratureConfig(
+    return _config(
+        QuadratureConfig,
         subintervals=args.subintervals,
         nodes_per_subinterval=args.nodes,
         refinement_tolerance=args.refinement_tol,
@@ -152,7 +150,7 @@ def _quadrature(args) -> QuadratureConfig:
 
 
 def _inversion(args) -> InversionConfig:
-    return InversionConfig(stehfest_terms=args.stehfest_terms)
+    return _config(InversionConfig, stehfest_terms=args.stehfest_terms)
 
 
 def _grid(args) -> np.ndarray:
@@ -200,7 +198,6 @@ def _certificate_dict(cert, first_point_excluded: bool = False) -> dict:
 
 
 def run_integrate(args) -> RunReport:
-    started = time.perf_counter()
     grid = _grid(args)
     g = parse(args.g)
     d = _distortion(args, grid[-1] - args.a)
@@ -223,7 +220,6 @@ def run_integrate(args) -> RunReport:
         columns=columns,
         rows=rows,
         certificate=_certificate_dict(cert),
-        duration_seconds=time.perf_counter() - started,
     )
 
 
@@ -231,7 +227,6 @@ def run_inverse(args) -> RunReport:
     """derive and identify.  Each row's ``monotone_ok`` is the solver
     certificate's judgement of that row; an excluded first row is not
     certified and reads false."""
-    started = time.perf_counter()
     grid = _grid(args)
     f = parse(args.f)
     settings = dict(
@@ -260,12 +255,10 @@ def run_inverse(args) -> RunReport:
         certificate=_certificate_dict(cert, report.first_point_excluded),
         residual=report.residual,
         verdict=report.verdict.value,
-        duration_seconds=time.perf_counter() - started,
     )
 
 
 def run_verify(args) -> RunReport:
-    started = time.perf_counter()
     grid = _grid(args)
     g = parse(args.g)
     d = _distortion(args, grid[-1] - args.a)
@@ -315,7 +308,6 @@ def run_verify(args) -> RunReport:
             "hereditary_gap": hereditary_rel,
             "max_shift_gap": max_shift,
         },
-        duration_seconds=time.perf_counter() - started,
     )
 
 
@@ -327,14 +319,14 @@ _RUNNERS = {
 }
 
 
-def _emit(report: RunReport, args) -> None:
+def _emit(report: RunReport, args, seconds: float) -> None:
     text = report.to_json_text() if args.format == "json" else report.to_csv_text()
     if args.output == "-":
         sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(f"{report.command}: done in {report.duration_seconds:.3f}s", file=sys.stderr)
+    print(f"{report.command}: done in {seconds:.3f}s", file=sys.stderr)
 
 
 def _join_t_flag(argv: list[str]) -> list[str]:
@@ -355,6 +347,7 @@ def _join_t_flag(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_t_flag(sys.argv[1:] if argv is None else list(argv)))
+    started = time.perf_counter()
     try:
         report = _RUNNERS[args.command](args)
     except UsageError as exc:
@@ -363,16 +356,13 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"choqint: expression error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _INADMISSIBLE as exc:
+    except (NotInFPlusError, InvalidDistortionError, OriginNotZeroError) as exc:
         print(f"choqint: inadmissible input: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except _NUMERICAL as exc:
+    except ChoqintError as exc:
         print(f"choqint: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ChoqintError as exc:  # any remaining library error
-        print(f"choqint: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _emit(report, args)
+    _emit(report, args, time.perf_counter() - started)
     if report.command == "derive" and report.verdict == Verdict.DOES_NOT_EXIST.value:
         return EXIT_NO_DERIVATIVE
     if report.command == "verify" and report.verdict == "Fail":

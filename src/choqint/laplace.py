@@ -31,7 +31,7 @@ from .capacity import (
     Distortion,
     MonotoneCertificate,
     certify_samples,
-    check_f_plus,
+    require_f_plus,
 )
 from .choquet import ChoquetProblem, as_grid, choquet_convolution
 from .errors import (
@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
     GVanishesError,
     NonPositiveSError,
-    NotInFPlusError,
     OriginNotZeroError,
 )
 from .exprlang import Expr, Num, Var, add, evaluate, substitute
@@ -155,9 +154,9 @@ class _SampleStore:
     search (inf where h overflows), grown one rung at a time as searches
     reach it, so a function defined only on a window raises where a search
     leaves the window, never earlier.  ``passes`` maps a quadrature pass,
-    (T, number of nodes), to h at its nodes: the nodes of a pass over
-    [0, T] depend on nothing else, as the quadrature settings are fixed
-    per store.
+    (T, number of nodes), to h at its nodes: every transform integrates
+    with ``TRANSFORM_QUADRATURE``, so the nodes of a pass over [0, T]
+    depend on nothing else.
     """
 
     def __init__(self, h: TransformSource):
@@ -199,8 +198,7 @@ def _truncation_point(store: _SampleStore, s: float, target: float) -> float:
     )
 
 
-def forward_laplace(h: TransformSource, s: float,
-                    cfg: QuadratureConfig = TRANSFORM_QUADRATURE, *,
+def forward_laplace(h: TransformSource, s: float, *,
                     _store: _SampleStore | None = None) -> float:
     """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail.
 
@@ -225,7 +223,8 @@ def forward_laplace(h: TransformSource, s: float,
         def integrand(points: np.ndarray) -> np.ndarray:
             return np.exp(-s * points) * store.values(T, points)
 
-        return integrate(integrand, 0.0, T, cfg, absolute_floor=0.0, strict=False)
+        return integrate(integrand, 0.0, T, TRANSFORM_QUADRATURE,
+                         absolute_floor=0.0, strict=False)
 
     T = _truncation_point(store, s, TAIL_BOUND)
     first = transform_to(T)
@@ -238,8 +237,7 @@ def forward_laplace(h: TransformSource, s: float,
     return transform_to(T_refined)
 
 
-def transform_of(h: TransformSource,
-                 cfg: QuadratureConfig = TRANSFORM_QUADRATURE) -> Callable[[float], float]:
+def transform_of(h: TransformSource) -> Callable[[float], float]:
     """Memoized s -> L(h)(s), the working representation of a transform.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
@@ -252,7 +250,7 @@ def transform_of(h: TransformSource,
 
     def fn(s: float) -> float:
         if s not in cache:
-            cache[s] = forward_laplace(h, s, cfg, _store=store)
+            cache[s] = forward_laplace(h, s, _store=store)
         return cache[s]
 
     return fn
@@ -340,15 +338,14 @@ def _noise_slack(values: np.ndarray, floor: float = MONOTONE_SLACK) -> float:
 def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: float,
                     residual_tol: float, decisive_ratio: float,
                     strictly_increasing: bool = False) -> Verdict:
+    """Decisive when the certificate's worst negativity or drop exceeds
+    ``decisive_ratio`` times the value scale."""
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    drops = values[:-1] - values[1:]
-    max_drop = float(drops.max()) if drops.size else 0.0
-    most_negative = float(values.min()) if values.size else 0.0
-    if max_drop > decisive_ratio * scale or most_negative < -decisive_ratio * scale:
+    if cert.max_violation > decisive_ratio * scale:
         return Verdict.DOES_NOT_EXIST
     ok = cert.is_monotone
     if strictly_increasing:
-        ok = ok and bool(np.all(-drops > 1e-12)) and bool(np.all(values >= 0.0))
+        ok = ok and bool(np.all(np.diff(values) > 1e-12)) and bool(np.all(values >= 0.0))
     if ok and residual <= residual_tol:
         return Verdict.EXISTS
     return Verdict.INCONCLUSIVE
@@ -387,21 +384,16 @@ def _segment_convolution(kernel, factor, span: float, knots: np.ndarray,
 def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
                    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
                    inversion: InversionConfig = DEFAULT_INVERSION,
-                   transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
                    residual_threshold: float = 1e-3) -> SolveReport:
     """Forward problem by transform inversion, cross-checked by quadrature.
 
     Residual is the worst relative gap against the direct convolution route;
     the verdict certifies that the computed f is itself admissible.
     """
-    grid = as_grid(t_grid)
-    if grid[0] < a:
-        raise ValueError("grid must start at or after a")
-    cert_in = check_f_plus(g, a, grid[-1] if grid[-1] > a else a + 1.0)
-    if not cert_in.is_monotone:
-        raise NotInFPlusError(f"g is not admissible: {cert_in.verdict}")
-    G = transform_of(_shifted(g, a), transform_quadrature)
-    M = transform_of(d.m, transform_quadrature)
+    problem = ChoquetProblem(a, g, d, t_grid)
+    grid = problem.t_grid
+    G = transform_of(_shifted(g, a))
+    M = transform_of(d.m)
 
     def F(s: float) -> float:
         return s * M(s) * G(s)
@@ -411,7 +403,6 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     positive = offsets > 0.0
     values[positive] = _invert_on_grid(F, offsets[positive], inversion)
 
-    problem = ChoquetProblem(a, g, d, grid, certificate=cert_in)
     residual = 0.0
     for i, t in enumerate(grid):
         reference = choquet_convolution(problem, float(t), quadrature)
@@ -423,11 +414,11 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
 
 
 def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
-                   inversion: InversionConfig, transform_quadrature: QuadratureConfig,
-                   residual_threshold: float, decisive_ratio: float,
-                   monotone_slack: float, *, denominator: Callable[[float], float],
-                   denominator_name: str, kernel: Callable[[np.ndarray], np.ndarray],
-                   recovers_m: bool, admissible: tuple = ()) -> SolveReport:
+                   inversion: InversionConfig, residual_threshold: float,
+                   decisive_ratio: float, monotone_slack: float, *,
+                   denominator: Callable[[float], float], denominator_name: str,
+                   kernel: Callable[[np.ndarray], np.ndarray], recovers_m: bool,
+                   admissible: tuple = ()) -> SolveReport:
     """The inverse pipeline shared by problems 2 and 3, on offsets u = t - a.
 
     Checks f(a) = 0 and that f (and the ``admissible`` named expressions)
@@ -445,14 +436,11 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
         raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")
-    grid_in = as_grid(t_grid)
-    t_max = grid_in[-1] if grid_in[-1] > a else a + 1.0
+    grid = _inversion_grid(a, t_grid)
     for name, h in (("f", f), *admissible):
-        cert_in = check_f_plus(h, a, t_max)
-        if not cert_in.is_monotone:
-            raise NotInFPlusError(f"{name} is not admissible: {cert_in.verdict}")
+        require_f_plus(name, h, a, grid[-1])
 
-    Fa = transform_of(_shifted(f, a), transform_quadrature)
+    Fa = transform_of(_shifted(f, a))
 
     def Q(s: float) -> float:
         den = denominator(s)
@@ -460,7 +448,6 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
             raise GVanishesError(f"{denominator_name} vanished at s = {s!r}")
         return Fa(s) / den
 
-    grid = _inversion_grid(a, grid_in)
     offsets = grid - a
     values = _invert_on_grid(Q, offsets, inversion)
     report_grid = offsets if recovers_m else grid
@@ -501,7 +488,6 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
                    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
                    inversion: InversionConfig = DEFAULT_INVERSION,
-                   transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
                    residual_threshold: float = RESIDUAL_THRESHOLD,
                    decisive_ratio: float = DECISIVE_RATIO,
                    monotone_slack: float = MONOTONE_SLACK) -> SolveReport:
@@ -513,10 +499,9 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
     convolution against m'; f must be reproduced within
     ``residual_threshold`` for the verdict Exists.
     """
-    M = transform_of(d.m, transform_quadrature)
+    M = transform_of(d.m)
     return _solve_inverse(
-        f, a, t_grid, quadrature, inversion, transform_quadrature,
-        residual_threshold, decisive_ratio, monotone_slack,
+        f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,
         denominator=lambda s: s * M(s), denominator_name="s M(s)",
         kernel=d.density, recovers_m=False)
 
@@ -524,7 +509,6 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
 def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
                    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
                    inversion: InversionConfig = DEFAULT_INVERSION,
-                   transform_quadrature: QuadratureConfig = TRANSFORM_QUADRATURE,
                    residual_threshold: float = RESIDUAL_THRESHOLD,
                    decisive_ratio: float = DECISIVE_RATIO,
                    monotone_slack: float = MONOTONE_SLACK) -> SolveReport:
@@ -536,9 +520,8 @@ def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
     samples whose convolution against g reproduces f within
     ``residual_threshold``.
     """
-    G = transform_of(_shifted(g, a), transform_quadrature)
+    G = transform_of(_shifted(g, a))
     return _solve_inverse(
-        f, a, t_grid, quadrature, inversion, transform_quadrature,
-        residual_threshold, decisive_ratio, monotone_slack,
+        f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,
         denominator=lambda s: s * G(s), denominator_name="s G_a(s)",
         kernel=lambda u: evaluate(g, a + u), recovers_m=True, admissible=(("g", g),))

@@ -8,7 +8,7 @@ serialized forms and reported on stderr instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -68,7 +68,6 @@ class RunReport:
     residual: float | None = None
     verdict: str | None = None
     properties: dict | None = None
-    duration_seconds: float = field(default=0.0, compare=False)
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.columns)]

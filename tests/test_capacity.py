@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from choqint import (
     Distortion,
     IntervalCapacity,
     InvalidDistortionError,
+    NotInFPlusError,
     capacity_tau_derivative,
     certify_samples,
     check_f_plus,
@@ -12,6 +15,7 @@ from choqint import (
     evaluate,
     parse,
 )
+from choqint.capacity import require_f_plus
 
 
 class TestDistortion:
@@ -27,6 +31,12 @@ class TestDistortion:
     def test_invalid_distortions(self, src):
         with pytest.raises(InvalidDistortionError):
             Distortion.from_expression(src, upper=5.0)
+
+    def test_violation_names_first_bad_sample(self):
+        # t (4 - t) peaks at t = 2; on 401 samples over [0, 5] the first
+        # drop is at sample 161, t = 2.0125
+        with pytest.raises(InvalidDistortionError, match=r"t = 2\.012.*ViolatedAt\(161\)"):
+            Distortion.from_expression("t*(4 - t)", upper=5.0)
 
     def test_length_measure(self):
         d = Distortion.from_expression("t^2/2", upper=4.0)
@@ -98,6 +108,15 @@ class TestCheckFPlus:
             check_f_plus(parse("t"), 0.0, 1.0, n=1)
         with pytest.raises(ValueError):
             check_f_plus(parse("t"), 1.0, 1.0)
+
+
+class TestRequireFPlus:
+    @pytest.mark.parametrize("t_end,window", [(2.0, "[-1.0, 2.0]"), (-1.0, "[-1.0, 0.0]")])
+    def test_names_function_window_and_sample(self, t_end, window):
+        # a window of zero length widens to [a, a + 1]
+        message = f"g is not nonnegative and nondecreasing on {window}: ViolatedAt(0)"
+        with pytest.raises(NotInFPlusError, match=re.escape(message)):
+            require_f_plus("g", parse("t"), -1.0, t_end)
 
 
 class TestCertifySamples:

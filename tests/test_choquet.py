@@ -114,6 +114,8 @@ class TestConvolutionRoute:
         p = ChoquetProblem(a, parse(f"t - ({a!r})"), d, np.array([a, a + 2.0]))
         want = 0.5 * beta_integral(1.0, -0.5, 2.0)
         assert choquet_convolution(p, a + 2.0) == pytest.approx(want, rel=1e-9)
+        # the general route's difference step shrinks toward tau = t
+        assert choquet_general(p, a + 2.0) == pytest.approx(want, rel=1e-5)
 
 
 class TestGeneralRoute:

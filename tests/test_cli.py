@@ -89,6 +89,19 @@ class TestExitCodes:
                        "--t", "0:1:1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--stehfest-terms", "15"),
+        ("--nodes", "0"),
+        ("--grading", "2"),
+        ("--max-refinements", "-1"),
+        ("--refinement-tol", "0"),
+    ])
+    def test_rejected_config_value_is_2(self, flag, value):
+        proc = run_cli("derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
+                       "--t", "1.1:3:10", flag, value)
+        assert proc.returncode == 2
+        assert "usage error" in proc.stderr
+
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",
                        "--t", "0:2:4")
@@ -230,6 +243,15 @@ class TestRouteRobustness:
         # the general route's difference step follows t - a, not |t|
         proc = run_cli("verify", "--g", "pow(t - 1000, 1.5)", "--m", "t^2", "--a", "1000",
                        "--t", "1000:1002:30", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["properties"]["max_general_gap"] <= 1e-5
+
+    @pytest.mark.parametrize("t_range", ["0:1:5", "0:2:9"])
+    def test_verify_passes_on_concave_distortion(self, t_range):
+        # m' = 1/(2 sqrt(u)) is singular at tau = t; the difference step
+        # shrinks there instead of straddling it
+        proc = run_cli("verify", "--g", "t", "--m", "sqrt(t)", "--a", "0",
+                       "--t", t_range, "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["properties"]["max_general_gap"] <= 1e-5
 

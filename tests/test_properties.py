@@ -11,6 +11,7 @@ from choqint import (
     DomainError,
     NonDifferentiableError,
     ParseError,
+    certify_samples,
     choquet_convolution,
     differentiate,
     distorted_capacity,
@@ -159,3 +160,14 @@ def test_positive_homogeneity_of_the_integral(scale, seed):
     v_base = choquet_convolution(base, t)
     v_scaled = choquet_convolution(scaled, t)
     assert v_scaled == pytest.approx(scale * v_base, rel=1e-9, abs=1e-12)
+
+
+@given(st.lists(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_max_violation_is_worst_negativity_or_drop(values):
+    # the solvers' decisive test reads max_violation in place of separate
+    # scans for the largest drop and the most negative sample
+    v = np.array(values, dtype=float)
+    drops = v[:-1] - v[1:]
+    want = max(0.0, -float(v.min(initial=0.0)), float(drops.max(initial=0.0)))
+    assert certify_samples(np.arange(v.size), v).max_violation == want
