@@ -33,6 +33,9 @@ MONOTONE_SLACK = 1e-10
 #: a distortion is exact input: m(0) = 0 and its samples are held to rounding
 DISTORTION_SLACK = 1e-12
 
+#: uniform samples of a distortion over its validation window [0, upper]
+DISTORTION_POINTS = 401
+
 
 @dataclass(frozen=True)
 class MonotoneCertificate:
@@ -79,8 +82,7 @@ def certify_samples(grid, values, slack: float = MONOTONE_SLACK) -> MonotoneCert
     return MonotoneCertificate(grid, tuple(row_ok), max_violation)
 
 
-def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201,
-                 slack: float = MONOTONE_SLACK) -> MonotoneCertificate:
+def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201) -> MonotoneCertificate:
     """Sample ``h`` on an n-point uniform grid over [a, t_max] and certify
     membership in the class of nonnegative nondecreasing functions."""
     if n < 2:
@@ -88,7 +90,7 @@ def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201,
     if t_max <= a:
         raise ValueError("t_max must exceed a")
     grid = np.linspace(a, t_max, n)
-    return certify_samples(grid, evaluate(h, grid), slack)
+    return certify_samples(grid, evaluate(h, grid))
 
 
 def require_f_plus(name: str, h: Expr, a: float, t_end: float) -> None:
@@ -112,7 +114,7 @@ class Distortion:
     m_prime: Expr
 
     @classmethod
-    def from_expression(cls, m, upper: float = 10.0, points: int = 401) -> "Distortion":
+    def from_expression(cls, m, upper: float = 10.0) -> "Distortion":
         """Build and validate a distortion from source text or a parsed tree.
 
         Checks m(0) = 0 (to 1e-12) and nonnegativity/monotonicity on a dense
@@ -120,7 +122,7 @@ class Distortion:
         failure.
         """
         expr = parse(m) if isinstance(m, str) else m
-        _validate_distortion(expr, upper, points)
+        _validate_distortion(expr, upper)
         return cls(expr, differentiate(expr))
 
     def length_measure(self, lengths):
@@ -132,13 +134,13 @@ class Distortion:
         return evaluate(self.m_prime, lengths)
 
 
-def _validate_distortion(expr: Expr, upper: float, points: int) -> None:
+def _validate_distortion(expr: Expr, upper: float) -> None:
     at_zero = evaluate(expr, 0.0)
     if abs(at_zero) > DISTORTION_SLACK:
         raise InvalidDistortionError(
             f"m(0) = {at_zero!r}, expected 0 for '{render(expr)}'"
         )
-    grid = np.linspace(0.0, upper, points)
+    grid = np.linspace(0.0, upper, DISTORTION_POINTS)
     values = evaluate(expr, grid)
     cert = certify_samples(grid, values, DISTORTION_SLACK)
     if not cert.is_monotone:
@@ -183,13 +185,13 @@ class IntervalCapacity:
         return IntervalCapacity(lambda u, v: base(u + offset, v + offset))
 
 
-def distorted_capacity(d: Distortion, upper: float = 10.0, points: int = 401) -> IntervalCapacity:
+def distorted_capacity(d: Distortion, upper: float = 10.0) -> IntervalCapacity:
     """Interval capacity mu([u, v]) = m(v - u) of a distorted Lebesgue measure.
 
     Re-validates the distortion on [0, upper]; translation invariance holds
     by construction since only the interval length enters.
     """
-    _validate_distortion(d.m, upper, points)
+    _validate_distortion(d.m, upper)
     m = d.m
     return IntervalCapacity(lambda u, v: evaluate(m, np.asarray(v) - np.asarray(u)))
 

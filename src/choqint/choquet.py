@@ -145,23 +145,24 @@ def choquet_level_set(problem: ChoquetProblem, t: float,
     return base + integrate(alpha_integrand, g_a, g_t, cfg)
 
 
-def _convolution_integrand(problem: ChoquetProblem, t: float):
-    """m'(u) g(t - u) on u = t - tau in [0, t - a].  A distortion with m'
-    singular at 0 (concave m) is then sampled near u = 0, where floats are
-    dense, instead of near tau = t."""
-    d, g, a = problem.measure, problem.g, problem.a
+def _convolution_integrand(problem: ChoquetProblem, a: float, t: float):
+    """m'(u) g(t - u) on u = t - tau in [0, t - a], for an origin a at or
+    after the problem's.  A distortion with m' singular at 0 (concave m) is
+    then sampled near u = 0, where floats are dense, instead of near tau = t."""
+    d, g = problem.measure, problem.g
     return lambda u: d.density(u) * evaluate(g, np.maximum(t - u, a))
 
 
-def _general_integrand(problem: ChoquetProblem, t: float):
-    """-d/dtau mu([tau, t]) g(tau) at tau = t - u, u in [0, t - a].
+def _general_integrand(problem: ChoquetProblem, a: float, t: float):
+    """-d/dtau mu([tau, t]) g(tau) at tau = t - u, u in [0, t - a], for an
+    origin a at or after the problem's.
 
     The difference step at u is min(h, 1e-5 min(u, t - a - u)).  h =
     1e-5 max(1, t - a) follows the interval length, not the position t, so
     a far-off origin does not coarsen it; the distance to the nearer end
     keeps the step from straddling a singular m' of a concave m at tau = t.
     """
-    cap, g, a = problem.capacity(), problem.g, problem.a
+    cap, g = problem.capacity(), problem.g
     h = 1e-5 * max(1.0, t - a)
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -178,14 +179,14 @@ def choquet_convolution(problem: ChoquetProblem, t: float,
     if not isinstance(problem.measure, Distortion):
         raise TypeError("convolution route requires a distorted Lebesgue measure")
     _check_t(problem, t)
-    return integrate(_convolution_integrand(problem, t), 0.0, t - problem.a, cfg)
+    return integrate(_convolution_integrand(problem, problem.a, t), 0.0, t - problem.a, cfg)
 
 
 def choquet_general(problem: ChoquetProblem, t: float,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """General-capacity route: - int_a^t d/dtau mu([tau, t]) g(tau) dtau."""
     _check_t(problem, t)
-    return integrate(_general_integrand(problem, t), 0.0, t - problem.a, cfg)
+    return integrate(_general_integrand(problem, problem.a, t), 0.0, t - problem.a, cfg)
 
 
 class HereditaryCheck(NamedTuple):
@@ -214,14 +215,11 @@ def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
         integrand_of = _convolution_integrand
     else:
         integrand_of = _general_integrand
-    whole = integrand_of(problem, t)
+    whole = integrand_of(problem, problem.a, t)
     lhs = integrate(whole, 0.0, t - problem.a, cfg)
-    if a_split == t:
-        main = 0.0
-    else:
-        sub = ChoquetProblem(a_split, problem.g, problem.measure,
-                             np.array([a_split, t]))
-        main = integrate(integrand_of(sub, t), 0.0, t - a_split, cfg)
+    # the genuine integral over [a_split, t] restricts the certified g; it
+    # is empty, so 0, when a_split = t
+    main = integrate(integrand_of(problem, a_split, t), 0.0, t - a_split, cfg)
     # [a, a_split] is u in [t - a_split, t - a]
     complement = integrate(whole, t - a_split, t - problem.a, cfg)
     rhs = complement + main

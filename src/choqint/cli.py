@@ -1,17 +1,24 @@
 """Command line front end.
 
-Subcommands::
+Subcommands, each with the settings it reads (``SETTINGS``)::
 
-    integrate  --g EXPR --m EXPR --a A --t START:STOP:POINTS [--verify]
-    derive     --f EXPR --m EXPR --a A --t ...
-    identify   --f EXPR --g EXPR --a A --t ...
-    verify     --g EXPR --m EXPR --a A --t ...
+    integrate  --g EXPR --m EXPR [--verify]   quadrature, --monotone-slack
+    derive     --f EXPR --m EXPR              --nodes, inversion
+    identify   --f EXPR --g EXPR              --nodes, inversion
+    verify     --g EXPR --m EXPR              quadrature, route tolerances
 
-Reports go to stdout or ``--output`` as CSV (default) or JSON; timing and
-diagnostics go to stderr.  Exit codes: 0 success, 2 expression or usage
-error, 3 inadmissible input (not nonnegative/nondecreasing, bad distortion,
-f(a) != 0), 4 numerical failure, 5 derive found no admissible derivative,
-6 verification gap above threshold.
+quadrature: --subintervals --nodes --refinement-tol --max-refinements --grading
+inversion: --stehfest-terms --monotone-slack --residual-tol --decisive-ratio
+route tolerances: --route-tol --hereditary-tol --shift-tol
+
+Every subcommand also takes --a A and --t START:STOP:POINTS, and echoes its
+inputs and settings, no others, in the report.  A flag another subcommand
+reads is a usage error, as is a negative or NaN tolerance.  Reports go to
+stdout or ``--output`` as CSV (default) or JSON; timing and diagnostics go to
+stderr.  Exit codes: 0 success, 2 expression or usage error, 3 inadmissible
+input (not nonnegative/nondecreasing, bad distortion, f(a) != 0), 4
+numerical failure, 5 derive found no admissible derivative, 6 verification
+gap above threshold.
 """
 
 from __future__ import annotations
@@ -77,6 +84,45 @@ def _t_range(text: str) -> tuple[float, float, int]:
     return start, stop, points
 
 
+def tolerance(text: str) -> float:
+    """A nonnegative number, not NaN; argparse names this type in its error."""
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError(text)
+    return value
+
+
+FORWARD = ("integrate", "verify")
+INVERSE = ("derive", "identify")
+
+#: (flag, type, default, the subcommands that read it); a subcommand takes
+#: and echoes exactly its own settings, in this order
+SETTINGS = (
+    ("--subintervals", int, 40, FORWARD),
+    ("--nodes", int, 16, FORWARD + INVERSE),
+    ("--refinement-tol", float, 1e-8, FORWARD),
+    ("--max-refinements", int, 6, FORWARD),
+    ("--grading", float, 0.5, FORWARD),
+    ("--stehfest-terms", int, 16, INVERSE),
+    ("--monotone-slack", tolerance, 1e-10, ("integrate",) + INVERSE),
+    ("--residual-tol", tolerance, 1e-2, INVERSE),
+    ("--decisive-ratio", tolerance, 1e-3, INVERSE),
+    ("--route-tol", tolerance, 1e-5, ("verify",)),
+    ("--hereditary-tol", tolerance, 1e-6, ("verify",)),
+    ("--shift-tol", tolerance, 1e-10, ("verify",)),
+)
+
+
+#: subcommand: (help, the two input functions it takes)
+COMMANDS = {
+    "integrate": ("forward Choquet integral of g", "g", "m"),
+    "derive": ("derivative of f with respect to the measure", "f", "m"),
+    "identify": ("identify the distortion from f and g", "f", "g"),
+    "verify": ("cross-route property battery on g and m", "g", "m"),
+}
+_ROLES = {"f": "integral", "g": "integrand", "m": "distortion"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choqint",
@@ -85,48 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (summary, *functions) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in functions:
+            p.add_argument(f"--{name}", required=True, help=f"{_ROLES[name]} expression in t")
+        if command == "integrate":
+            p.add_argument("--verify", action="store_true",
+                           help="add level-set oracle values and gaps")
         p.add_argument("--a", type=float, default=0.0, help="interval origin (default 0)")
         p.add_argument("--t", type=_t_range, required=True, metavar="START:STOP:POINTS",
                        help="uniform evaluation grid, inclusive endpoints")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--subintervals", type=int, default=40)
-        p.add_argument("--nodes", type=int, default=16)
-        p.add_argument("--refinement-tol", type=float, default=1e-8)
-        p.add_argument("--max-refinements", type=int, default=6)
-        p.add_argument("--grading", type=float, default=0.5)
-        p.add_argument("--stehfest-terms", type=int, default=16)
-        p.add_argument("--monotone-slack", type=float, default=1e-10)
-        p.add_argument("--residual-tol", type=float, default=1e-2)
-        p.add_argument("--decisive-ratio", type=float, default=1e-3)
-
-    p_int = sub.add_parser("integrate", help="forward Choquet integral of g")
-    p_int.add_argument("--g", required=True, help="integrand expression in t")
-    p_int.add_argument("--m", required=True, help="distortion expression in t")
-    p_int.add_argument("--verify", action="store_true",
-                       help="add level-set oracle values and gaps")
-    common(p_int)
-
-    p_der = sub.add_parser("derive", help="derivative of f with respect to the measure")
-    p_der.add_argument("--f", required=True, help="integral expression in t")
-    p_der.add_argument("--m", required=True, help="distortion expression in t")
-    common(p_der)
-
-    p_ide = sub.add_parser("identify", help="identify the distortion from f and g")
-    p_ide.add_argument("--f", required=True, help="integral expression in t")
-    p_ide.add_argument("--g", required=True, help="integrand expression in t")
-    common(p_ide)
-
-    p_ver = sub.add_parser("verify", help="cross-route property battery on g and m")
-    p_ver.add_argument("--g", required=True, help="integrand expression in t")
-    p_ver.add_argument("--m", required=True, help="distortion expression in t")
-    p_ver.add_argument("--route-tol", type=float, default=1e-5)
-    p_ver.add_argument("--hereditary-tol", type=float, default=1e-6)
-    p_ver.add_argument("--shift-tol", type=float, default=1e-10)
-    common(p_ver)
-
+        for flag, kind, default, commands in SETTINGS:
+            if command in commands:
+                p.add_argument(flag, type=kind, default=default)
     return parser
 
 
@@ -149,10 +168,6 @@ def _quadrature(args) -> QuadratureConfig:
     )
 
 
-def _inversion(args) -> InversionConfig:
-    return _config(InversionConfig, stehfest_terms=args.stehfest_terms)
-
-
 def _grid(args) -> np.ndarray:
     start, stop, points = args.t
     if start < args.a:
@@ -166,24 +181,15 @@ def _distortion(args, span: float) -> Distortion:
     return Distortion.from_expression(args.m, upper=max(span, 1.0))
 
 
-def _echo_inputs(args, names: tuple[str, ...]) -> dict:
+def _echo_inputs(args) -> dict:
+    """The run's input functions, origin, grid and settings, in that order."""
     start, stop, points = args.t
-    echo: dict = {name: getattr(args, name) for name in names}
-    echo.update({
-        "a": args.a,
-        "t_start": start,
-        "t_stop": stop,
-        "t_points": points,
-        "subintervals": args.subintervals,
-        "nodes": args.nodes,
-        "refinement_tol": args.refinement_tol,
-        "max_refinements": args.max_refinements,
-        "grading": args.grading,
-        "stehfest_terms": args.stehfest_terms,
-        "monotone_slack": args.monotone_slack,
-        "residual_tol": args.residual_tol,
-        "decisive_ratio": args.decisive_ratio,
-    })
+    echo: dict = {name: getattr(args, name) for name in COMMANDS[args.command][1:]}
+    echo.update(a=args.a, t_start=start, t_stop=stop, t_points=points)
+    for flag, _, _, commands in SETTINGS:
+        if args.command in commands:
+            key = flag[2:].replace("-", "_")
+            echo[key] = getattr(args, key)
     return echo
 
 
@@ -216,7 +222,7 @@ def run_integrate(args) -> RunReport:
     cert = certify_samples(grid, np.array(values), args.monotone_slack)
     return RunReport(
         command="integrate",
-        inputs=_echo_inputs(args, ("g", "m")),
+        inputs=_echo_inputs(args),
         columns=columns,
         rows=rows,
         certificate=_certificate_dict(cert),
@@ -230,18 +236,16 @@ def run_inverse(args) -> RunReport:
     grid = _grid(args)
     f = parse(args.f)
     settings = dict(
-        quadrature=_quadrature(args),
-        inversion=_inversion(args),
+        quadrature=_config(QuadratureConfig, nodes_per_subinterval=args.nodes),
+        inversion=_config(InversionConfig, stehfest_terms=args.stehfest_terms),
         residual_threshold=args.residual_tol,
         decisive_ratio=args.decisive_ratio,
         monotone_slack=args.monotone_slack,
     )
     if args.command == "derive":
-        known = "m"
         d = _distortion(args, grid[-1] - args.a)
         report = solve_problem2(f, d, args.a, grid, **settings)
     else:
-        known = "g"
         report = solve_problem3(f, parse(args.g), args.a, grid, **settings)
     cert = report.certificate
     flags = [False] * report.first_point_excluded + list(cert.row_ok)
@@ -249,7 +253,7 @@ def run_inverse(args) -> RunReport:
             for t, v, ok in zip(report.grid, report.values, flags)]
     return RunReport(
         command=args.command,
-        inputs=_echo_inputs(args, ("f", known)),
+        inputs=_echo_inputs(args),
         columns=["t", "value", "monotone_ok"],
         rows=rows,
         certificate=_certificate_dict(cert, report.first_point_excluded),
@@ -291,13 +295,9 @@ def run_verify(args) -> RunReport:
               and max_general <= args.route_tol
               and hereditary_rel <= args.hereditary_tol
               and max_shift <= args.shift_tol)
-    inputs = _echo_inputs(args, ("g", "m"))
-    inputs.update({"route_tol": args.route_tol,
-                   "hereditary_tol": args.hereditary_tol,
-                   "shift_tol": args.shift_tol})
     return RunReport(
         command="verify",
-        inputs=inputs,
+        inputs=_echo_inputs(args),
         columns=["t", "value", "oracle_value", "gap"],
         rows=rows,
         verdict="Pass" if passed else "Fail",
@@ -332,15 +332,12 @@ def _emit(report: RunReport, args, seconds: float) -> None:
 def _join_t_flag(argv: list[str]) -> list[str]:
     """Fold '--t -1:1:5' into '--t=-1:1:5' so a leading minus in the range
     is not mistaken for an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--t" and i + 1 < len(argv):
-            out.append(f"--t={argv[i + 1]}")
-            i += 2
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--t":
+            out[-1] = f"--t={arg}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 

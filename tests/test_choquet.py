@@ -18,6 +18,7 @@ from choqint import (
     shift_to_origin,
     uniform_grid,
 )
+from choqint import capacity
 from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_monotone_problem
 
 
@@ -228,6 +229,20 @@ class TestHereditary:
         p = ChoquetProblem(0.0, parse("t^2"), cap, np.array([0.0, 2.0]))
         result = check_hereditary(p, 0.75, 2.0)
         assert result.gap <= 1e-6 * (1.0 + abs(result.lhs))
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_certifies_no_sub_problem(self, general, monkeypatch):
+        # [a_split, t] restricts the window the problem already certified
+        p = sqrt_problem(1.0, [1.0, 3.0])
+        if general:
+            p = ChoquetProblem(p.a, p.g, p.capacity(), p.t_grid)
+        expected = check_hereditary(p, 2.0, 3.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_hereditary certified g again")
+
+        monkeypatch.setattr(capacity, "check_f_plus", refuse)
+        assert check_hereditary(p, 2.0, 3.0) == expected
 
     def test_split_outside_interval_rejected(self):
         p = sqrt_problem(0.0, [0.0, 2.0])

@@ -45,6 +45,17 @@ def test_repeated_runs_are_deterministic():
         assert first.stdout == second.stdout, name
 
 
+# one admissible run per subcommand
+ARGV = {
+    "integrate": ["integrate", "--g", "t", "--m", "t", "--a", "0", "--t", "0:1:3"],
+    "derive": ["derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
+               "--t", "1.1:3:10"],
+    "identify": ["identify", "--f", "pow(t-2,5.5)", "--g", "sqrt(t-2)", "--a", "2",
+                 "--t", "2.1:5:10"],
+    "verify": ["verify", "--g", "sqrt(t-1)", "--m", "t^2/2", "--a", "1", "--t", "1:3:5"],
+}
+
+
 class TestExitCodes:
     def test_expression_error_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-", "--m", "t", "--a", "0",
@@ -89,18 +100,50 @@ class TestExitCodes:
                        "--t", "0:1:1")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--stehfest-terms", "15"),
-        ("--nodes", "0"),
-        ("--grading", "2"),
-        ("--max-refinements", "-1"),
-        ("--refinement-tol", "0"),
-    ])
-    def test_rejected_config_value_is_2(self, flag, value):
-        proc = run_cli("derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
-                       "--t", "1.1:3:10", flag, value)
+    REJECTED_CONFIG = [
+        ("derive", "--stehfest-terms", "15"),
+        ("derive", "--nodes", "0"),
+        ("integrate", "--grading", "2"),
+        ("integrate", "--max-refinements", "-1"),
+        ("integrate", "--refinement-tol", "0"),
+    ]
+
+    # ids name the flag and value; each case runs on a subcommand that reads the flag
+    @pytest.mark.parametrize("command,flag,value", REJECTED_CONFIG,
+                             ids=[f"{flag}-{value}" for _, flag, value in REJECTED_CONFIG])
+    def test_rejected_config_value_is_2(self, command, flag, value):
+        proc = run_cli(*ARGV[command], flag, value)
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
+
+    @pytest.mark.parametrize("command,flag", [
+        *[("integrate", flag) for flag in
+          ("--stehfest-terms", "--residual-tol", "--decisive-ratio")],
+        *[("verify", flag) for flag in
+          ("--stehfest-terms", "--monotone-slack", "--residual-tol", "--decisive-ratio")],
+        *[(command, flag) for command in ("derive", "identify") for flag in
+          ("--subintervals", "--refinement-tol", "--max-refinements", "--grading")],
+    ])
+    def test_flag_of_another_subcommand_is_2(self, command, flag):
+        # each subcommand takes only the settings it reads
+        proc = run_cli(*ARGV[command], flag, "15")
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+
+    @pytest.mark.parametrize("command,flag", [
+        ("integrate", "--monotone-slack"),
+        ("identify", "--monotone-slack"),
+        ("identify", "--residual-tol"),
+        ("derive", "--decisive-ratio"),
+        ("verify", "--route-tol"),
+        ("verify", "--hereditary-tol"),
+        ("verify", "--shift-tol"),
+    ])
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_is_2(self, command, flag, value):
+        proc = run_cli(*ARGV[command], f"{flag}={value}")
+        assert proc.returncode == 2
+        assert "invalid tolerance value" in proc.stderr
 
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",
