@@ -1,10 +1,11 @@
 """Distorted Lebesgue measures, interval capacities, and monotone certificates.
 
 A distorted Lebesgue measure is determined by a distortion ``m`` with
-``m(0) = 0``, nonnegative and nondecreasing: on an interval it evaluates to
-``m(v - u)``.  General capacities are exposed only through interval
-evaluation ``mu([u, v])`` — superlevel sets of monotone integrands on
-``[a, t]`` are intervals, so nothing more is ever needed here.
+``m(0) = 0``, nonnegative and nondecreasing: a :class:`Distortion` is itself
+the interval capacity ``mu([u, v]) = m(v - u)``, validated once, where it is
+built.  Capacities are exposed only through interval evaluation
+``mu([u, v])`` — superlevel sets of monotone integrands on ``[a, t]`` are
+intervals, so nothing more is ever needed here.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def require_f_plus(name: str, h: Expr, a: float, t_end: float) -> None:
 
 @dataclass(frozen=True)
 class Distortion:
-    """A distortion ``m`` together with its symbolic derivative."""
+    """A distortion ``m`` with its symbolic derivative, and the interval
+    capacity mu([u, v]) = m(v - u) it defines, translation invariant since
+    only the length enters.  ``m`` is validated once, by
+    :meth:`from_expression`; every route trusts it from then on."""
 
     m: Expr
     m_prime: Expr
@@ -132,6 +136,14 @@ class Distortion:
     def density(self, lengths):
         """m' applied to interval lengths."""
         return evaluate(self.m_prime, lengths)
+
+    def evaluate(self, u, v):
+        """mu([u, v]) = m(v - u)."""
+        return self.length_measure(np.asarray(v) - np.asarray(u))
+
+    def shifted(self, offset: float) -> "Distortion":
+        """mu([u + offset, v + offset]): by translation invariance, mu itself."""
+        return self
 
 
 def _validate_distortion(expr: Expr, upper: float) -> None:
@@ -186,24 +198,23 @@ class IntervalCapacity:
 
 
 def distorted_capacity(d: Distortion, upper: float = 10.0) -> IntervalCapacity:
-    """Interval capacity mu([u, v]) = m(v - u) of a distorted Lebesgue measure.
-
-    Re-validates the distortion on [0, upper]; translation invariance holds
-    by construction since only the interval length enters.
+    """The capacity mu([u, v]) = m(v - u) of a distortion, as a general
+    :class:`IntervalCapacity`, so that routes treat it like any other
+    capacity.  Re-validates the distortion on [0, upper].
     """
     _validate_distortion(d.m, upper)
-    m = d.m
-    return IntervalCapacity(lambda u, v: evaluate(m, np.asarray(v) - np.asarray(u)))
+    return IntervalCapacity(d.evaluate)
 
 
 def capacity_tau_derivative(c: IntervalCapacity, tau: float, t: float,
                             h: float | None = None, lower: float | None = None) -> float:
     """Finite-difference approximation of d/dtau mu([tau, t]) at tau: the
     scalar form of :func:`_tau_derivative_grid`, with step ``h`` (default
-    1e-5 * max(1, |t|)); one-sided at ``t`` (and at ``lower`` if given).
+    1e-5 * max(1, t - tau): the interval length, not the position t);
+    one-sided at ``t`` (and at ``lower`` if given).
     """
     if h is None:
-        h = 1e-5 * max(1.0, abs(t))
+        h = 1e-5 * max(1.0, t - tau)
     if tau > t:
         raise ValueError("tau must not exceed t")
     return float(_tau_derivative_grid(c, np.array([float(tau)]), t, h, lower)[0])

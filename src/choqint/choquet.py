@@ -18,7 +18,6 @@ and, for a distorted Lebesgue measure mu([u, v]) = m(v - u),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -27,7 +26,6 @@ from .capacity import (
     Distortion,
     IntervalCapacity,
     _tau_derivative_grid,
-    distorted_capacity,
     require_f_plus,
 )
 from .errors import InvalidIntervalError
@@ -73,7 +71,9 @@ def uniform_grid(start: float, stop: float, points: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ChoquetProblem:
     """Interval origin, integrand, measure, and evaluation grid of one
-    Choquet integral equation.  Construction certifies the integrand."""
+    Choquet integral equation.  Construction certifies the integrand; the
+    measure, a :class:`Distortion` or an :class:`IntervalCapacity`, is
+    trusted as it was built (a distortion is validated there)."""
 
     a: float
     g: Expr
@@ -89,20 +89,10 @@ class ChoquetProblem:
 
     def interval_measure(self, u, v):
         """mu([u, v]) under the problem's measure."""
-        if isinstance(self.measure, Distortion):
-            return self.measure.length_measure(np.asarray(v) - np.asarray(u))
         return self.measure.evaluate(u, v)
 
-    def capacity(self) -> IntervalCapacity:
-        """The measure as an interval capacity."""
-        return self._capacity
-
-    @cached_property
-    def _capacity(self) -> IntervalCapacity:
-        # a distortion is validated on the problem's window once, not per call
-        if isinstance(self.measure, Distortion):
-            upper = max(self.t_grid[-1] - self.a, 1.0)
-            return distorted_capacity(self.measure, upper=upper)
+    def capacity(self) -> Measure:
+        """The measure as an interval capacity, which a distortion is itself."""
         return self.measure
 
 
@@ -226,16 +216,16 @@ def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
     return HereditaryCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def shift_to_origin(problem: ChoquetProblem) -> ChoquetProblem:
-    """Rebase the problem at a = 0: integrand r -> g(r + a), grid shifted.
+def _rebased(h: Expr, a: float) -> Expr:
+    """h(r + a) as an expression in r: [a, t] carried to [0, t - a]."""
+    return substitute(h, add(Var(), Num(a)))
 
-    Distorted Lebesgue measures are translation invariant, so they carry
-    over unchanged; a general capacity is wrapped with the shift.
-    """
+
+def shift_to_origin(problem: ChoquetProblem) -> ChoquetProblem:
+    """Rebase the problem at a = 0: integrand r -> g(r + a), measure and
+    grid shifted by a.  A distortion, translation invariant, is its own
+    shift; the rebased g is a new expression tree, which the new problem
+    certifies."""
     a = problem.a
-    g_shifted = substitute(problem.g, add(Var(), Num(a)))
-    if isinstance(problem.measure, Distortion):
-        measure = problem.measure
-    else:
-        measure = problem.measure.shifted(a)
-    return ChoquetProblem(0.0, g_shifted, measure, problem.t_grid - a)
+    return ChoquetProblem(0.0, _rebased(problem.g, a), problem.measure.shifted(a),
+                          problem.t_grid - a)

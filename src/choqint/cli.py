@@ -13,12 +13,12 @@ route tolerances: --route-tol --hereditary-tol --shift-tol
 
 Every subcommand also takes --a A and --t START:STOP:POINTS, and echoes its
 inputs and settings, no others, in the report.  A flag another subcommand
-reads is a usage error, as is a negative or NaN tolerance.  Reports go to
-stdout or ``--output`` as CSV (default) or JSON; timing and diagnostics go to
-stderr.  Exit codes: 0 success, 2 expression or usage error, 3 inadmissible
-input (not nonnegative/nondecreasing, bad distortion, f(a) != 0), 4
-numerical failure, 5 derive found no admissible derivative, 6 verification
-gap above threshold.
+reads is a usage error, as is a negative, infinite or NaN tolerance.  Reports
+go to stdout or ``--output`` as CSV (default) or JSON; timing and diagnostics
+go to stderr.  Exit codes: 0 success, 2 expression or usage error, 3
+inadmissible input (not nonnegative/nondecreasing, bad distortion, f(a) !=
+0), 4 numerical failure, 5 derive found no admissible derivative, 6
+verification gap above threshold.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _t_range(text: str) -> tuple[float, float, int]:
 
 
 def tolerance(text: str) -> float:
-    """A nonnegative number, not NaN; argparse names this type in its error."""
+    """A finite nonnegative number; argparse names this type in its error."""
     value = float(text)
-    if not value >= 0.0:
+    if not 0.0 <= value < np.inf:
         raise ValueError(text)
     return value
 

@@ -33,7 +33,7 @@ from .capacity import (
     certify_samples,
     require_f_plus,
 )
-from .choquet import ChoquetProblem, as_grid, choquet_convolution
+from .choquet import ChoquetProblem, _rebased, as_grid, choquet_convolution
 from .errors import (
     DivergentIntegralError,
     DomainError,
@@ -41,7 +41,7 @@ from .errors import (
     NonPositiveSError,
     OriginNotZeroError,
 )
-from .exprlang import Expr, Num, Var, add, evaluate, substitute
+from .exprlang import Expr, evaluate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _gauss_nodes, integrate
 
 __all__ = [
@@ -308,10 +308,6 @@ def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _shifted(expr: Expr, a: float) -> Expr:
-    return substitute(expr, add(Var(), Num(a)))
-
-
 def _invert_on_grid(F: Callable[[float], float], offsets: np.ndarray,
                     inversion: InversionConfig) -> np.ndarray:
     return np.array([invert_laplace(F, u, inversion) for u in offsets])
@@ -392,7 +388,7 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     """
     problem = ChoquetProblem(a, g, d, t_grid)
     grid = problem.t_grid
-    G = transform_of(_shifted(g, a))
+    G = transform_of(_rebased(g, a))
     M = transform_of(d.m)
 
     def F(s: float) -> float:
@@ -440,7 +436,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     for name, h in (("f", f), *admissible):
         require_f_plus(name, h, a, grid[-1])
 
-    Fa = transform_of(_shifted(f, a))
+    Fa = transform_of(_rebased(f, a))
 
     def Q(s: float) -> float:
         den = denominator(s)
@@ -520,8 +516,9 @@ def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
     samples whose convolution against g reproduces f within
     ``residual_threshold``.
     """
-    G = transform_of(_shifted(g, a))
+    g_a = _rebased(g, a)
+    G = transform_of(g_a)
     return _solve_inverse(
         f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,
         denominator=lambda s: s * G(s), denominator_name="s G_a(s)",
-        kernel=lambda u: evaluate(g, a + u), recovers_m=True, admissible=(("g", g),))
+        kernel=g_a, recovers_m=True, admissible=(("g", g),))

@@ -42,6 +42,16 @@ class TestDistortion:
         d = Distortion.from_expression("t^2/2", upper=4.0)
         assert d.length_measure(2.0) == pytest.approx(2.0)
 
+    def test_is_its_own_interval_capacity(self):
+        d = Distortion.from_expression("t^2/2 + sqrt(t)", upper=4.0)
+        cap = distorted_capacity(d, upper=4.0)
+        assert d.evaluate(0.5, 3.25) == cap.evaluate(0.5, 3.25)
+        assert type(d.evaluate(0.5, 3.25)) is type(cap.evaluate(0.5, 3.25))
+        u = np.linspace(-1.0, 1.0, 7)
+        v = u + np.linspace(0.0, 3.0, 7)
+        assert d.evaluate(u, v).tobytes() == cap.evaluate(u, v).tobytes()
+        assert d.shifted(2.5) is d
+
 
 class TestDistortedCapacity:
     def test_example_quadratic(self):
@@ -167,6 +177,14 @@ class TestTauDerivative:
         for tau, t in ((0.5, 3.0), (2.0, 6.5), (1.0, 1.5)):
             want = -evaluate(d.m_prime, t - tau)
             assert capacity_tau_derivative(cap, tau, t) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("a", [0.0, 1000.0, -1000.0])
+    def test_default_step_follows_the_interval(self, a):
+        # tau = a + 0.5, t = a + 1: -m'(0.5) = -(0.5 + 3 * 0.25) wherever a is
+        d = Distortion.from_expression("t^2/2 + t^3", upper=2.0)
+        cap = distorted_capacity(d, upper=2.0)
+        got = capacity_tau_derivative(cap, a + 0.5, a + 1.0)
+        assert got == pytest.approx(-1.25, rel=1e-7)
 
     def test_tau_beyond_t_rejected(self):
         cap = distorted_capacity(Distortion.from_expression("t", upper=4.0))

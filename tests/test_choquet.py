@@ -235,7 +235,8 @@ class TestHereditary:
         # [a_split, t] restricts the window the problem already certified
         p = sqrt_problem(1.0, [1.0, 3.0])
         if general:
-            p = ChoquetProblem(p.a, p.g, p.capacity(), p.t_grid)
+            # a general capacity, so that the general route's integrand runs
+            p = ChoquetProblem(p.a, p.g, distorted_capacity(p.measure, upper=2.0), p.t_grid)
         expected = check_hereditary(p, 2.0, 3.0)
 
         def refuse(*args, **kwargs):
@@ -273,6 +274,10 @@ class TestShiftToOrigin:
             v0 = choquet_convolution(p, float(t))
             v1 = choquet_convolution(shifted, float(t) - a)
             assert abs(v1 - v0) <= 1e-10 * (1.0 + abs(v0)), render(shifted.g)
+
+    def test_distortion_is_its_own_shift(self):
+        p = sqrt_problem(1.0, [1.0, 2.0])
+        assert shift_to_origin(p).measure is p.measure
 
     def test_general_capacity_is_wrapped(self):
         base = IntervalCapacity(lambda u, v: (np.asarray(v) - np.asarray(u)) * np.asarray(v))

@@ -139,7 +139,7 @@ class TestExitCodes:
         ("verify", "--hereditary-tol"),
         ("verify", "--shift-tol"),
     ])
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_negative_or_nan_tolerance_is_2(self, command, flag, value):
         proc = run_cli(*ARGV[command], f"{flag}={value}")
         assert proc.returncode == 2
@@ -150,6 +150,30 @@ class TestExitCodes:
                        "--t", "0:2:4")
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
+
+
+class TestChecksPerRun:
+    @pytest.mark.parametrize("command,validations,certificates", [
+        ("integrate", 1, 1),
+        ("derive", 1, 1),
+        ("identify", 0, 2),
+        # the problem's g and shift_to_origin's rebased g, a different tree
+        ("verify", 1, 2),
+    ])
+    def test_each_input_is_checked_once(self, command, validations, certificates,
+                                        monkeypatch, capsys):
+        from choqint import capacity, cli
+
+        calls = {"_validate_distortion": 0, "check_f_plus": 0}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(capacity, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(capacity, name, spy)
+        assert cli.main(ARGV[command]) == 0
+        capsys.readouterr()
+        assert calls == {"_validate_distortion": validations,
+                         "check_f_plus": certificates}
 
 
 class TestOutputs:

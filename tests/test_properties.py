@@ -19,6 +19,7 @@ from choqint import (
     parse,
     render,
 )
+from choqint.choquet import _rebased
 from choqint.exprlang import (
     Abs,
     Add,
@@ -130,6 +131,21 @@ def test_symbolic_derivative_matches_central_difference(expr, t):
     assume(abs(wide - narrow) <= 1e-5 * (1.0 + abs(narrow)))
     assume(abs(fwd - bwd) <= 0.1 * (1.0 + abs(wide)))
     assert abs(symbolic - wide) <= 1e-4 * (1.0 + abs(symbolic))
+
+
+@given(expressions(), st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+       st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_rebased_expression_evaluates_as_the_translated_one(expr, a, u):
+    # the one rebase h(r) -> h(r + a) behind shift_to_origin and the solvers
+    h = parse(render(expr))
+    try:
+        want = evaluate(h, a + u)
+    except DomainError:
+        with pytest.raises(DomainError):
+            evaluate(_rebased(h, a), u)
+        return
+    assert np.float64(evaluate(_rebased(h, a), u)).tobytes() == np.float64(want).tobytes()
 
 
 _dyadic = st.integers(0, 2 ** 20).map(lambda k: k / 256.0)
