@@ -137,6 +137,70 @@ class PiecewiseLinear:
         return out
 
 
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Thomas elimination for the tridiagonal system whose row i reads
+    sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[i]."""
+    n = len(diag)
+    # no pivoting: the spline's end rows are not diagonally dominant, but
+    # for increasing knots every pivot stays positive
+    c, r = [0.0] * n, [0.0] * n
+    c[0], r[0] = sup[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        den = diag[i] - sub[i] * c[i - 1]
+        c[i] = sup[i] / den
+        r[i] = (rhs[i] - sub[i] * r[i - 1]) / den
+    x = r
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return np.array(x)
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y) and its exact derivative.
+
+    The knot slopes solve the C2 system closed by a continuous third
+    derivative at the second and the next-to-last knot, so the spline
+    reproduces cubic polynomials; beyond the end knots the end cubics
+    continue."""
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        if (self.x.ndim != 1 or self.x.size < 4 or self.y.shape != self.x.shape
+                or np.any(np.diff(self.x) <= 0.0)):
+            raise ValueError("knots must be strictly increasing, at least four")
+        h = np.diff(self.x)
+        d = np.diff(self.y) / h
+        n = self.x.size
+        sub, diag, sup, rhs = np.zeros(n), np.empty(n), np.zeros(n), np.empty(n)
+        sub[1:-1], diag[1:-1], sup[1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+        rhs[1:-1] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+        w = h[0] + h[1]
+        diag[0], sup[0] = h[1], w
+        rhs[0] = ((h[0] + 2.0 * w) * h[1] * d[0] + h[0] ** 2 * d[1]) / w
+        w = h[-2] + h[-1]
+        sub[-1], diag[-1] = w, h[-2]
+        rhs[-1] = (h[-1] ** 2 * d[-2] + (2.0 * w + h[-1]) * h[-2] * d[-1]) / w
+        k = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+        # cell i: y_i + k_i r + c2_i r^2 + c3_i r^3 with r = q - x_i
+        self.k = k
+        self.c2 = (3.0 * d - 2.0 * k[:-1] - k[1:]) / h
+        self.c3 = (k[:-1] + k[1:] - 2.0 * d) / h ** 2
+
+    def _cell(self, q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.x.size - 2)
+        return i, q - self.x[i]
+
+    def __call__(self, q):
+        i, r = self._cell(q)
+        return self.y[i] + r * (self.k[i] + r * (self.c2[i] + r * self.c3[i]))
+
+    def derivative(self, q):
+        i, r = self._cell(q)
+        return self.k[i] + r * (2.0 * self.c2[i] + 3.0 * r * self.c3[i])
+
+
 TransformSource = Union[Expr, Callable[[np.ndarray], np.ndarray]]
 
 
@@ -347,19 +411,6 @@ def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: flo
     return Verdict.INCONCLUSIVE
 
 
-def _refine_cells(points: np.ndarray, per_cell: int = 3) -> np.ndarray:
-    """The points plus ``per_cell`` interior points in every cell.
-
-    Used for the verification interpolants: extra inversions of the
-    recovered function are cheap, while the chord error of a coarse
-    interpolant would eat the whole residual budget."""
-    fractions = np.arange(1, per_cell + 1) / (per_cell + 1.0)
-    pieces = [points]
-    for j in range(points.size - 1):
-        pieces.append(points[j] + (points[j + 1] - points[j]) * fractions)
-    return np.unique(np.concatenate(pieces))
-
-
 def _segment_convolution(kernel, factor, span: float, knots: np.ndarray,
                          nodes: int = 16) -> float:
     """int_0^span kernel(w) factor(span - w) dw, where ``factor`` is only
@@ -419,15 +470,19 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 
     Checks f(a) = 0 and that f (and the ``admissible`` named expressions)
     are in F+, inverts F_a(s) / denominator(s), excludes a wild first
-    sample, and certifies the rest.  The recovered factor is then sampled
-    denser than the report grid (interior subdivision plus a graded ladder
-    in the leading gap; otherwise chord error dominates the residual
-    regardless of how good the recovery is), interpolated, and convolved
-    against ``kernel``; f must be reproduced within ``residual_threshold``
-    for the verdict Exists.  With ``recovers_m`` the samples are a
-    distortion m, pinned at m(0) = 0, whose step density meets the kernel
-    g_a, and the report grid is u itself; otherwise they are g, extrapolated
-    linearly to u = 0, against the kernel m'.
+    sample, and certifies the rest.  The recovery is then verified by a
+    not-a-knot cubic spline with knots at 0, a graded ladder
+    u_0 {1/16, 1/8, 1/4, 1/2, 3/4} in the leading gap (u_0 the first kept
+    offset) and the kept report offsets: the report values are reused and
+    only the five ladder offsets are inverted again.  The spline is
+    convolved against ``kernel``; f must be reproduced within
+    ``residual_threshold`` for the verdict Exists.  The spline's error is
+    fourth order, so the residual follows the error of the recovery rather
+    than the interpolant's.  With ``recovers_m`` the samples are a
+    distortion m, pinned at m(0) = 0, whose step density (the spline's
+    derivative) meets the kernel g_a, and the report grid is u itself;
+    otherwise they are g, extrapolated linearly to u = 0 from the first two
+    ladder samples, against the kernel m'.
     """
     f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
@@ -456,19 +511,14 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 
     kept_u = offsets[kept]
     ladder = kept_u[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    ver_u = np.unique(np.concatenate((ladder, _refine_cells(kept_u))))
-    ver_v = _invert_on_grid(Q, ver_u, inversion)
-    knots_u = np.concatenate(([0.0], ver_u))
-    if recovers_m:
-        slopes = np.diff(np.concatenate(([0.0], ver_v))) / np.diff(knots_u)
-
-        def recovered(u):  # the step density of the piecewise-linear m
-            cell = np.searchsorted(knots_u, u, side="right") - 1
-            return slopes[np.clip(cell, 0, slopes.size - 1)]
-    else:
-        anchor = max(0.0, ver_v[0] - (ver_v[1] - ver_v[0])
-                     / (ver_u[1] - ver_u[0]) * ver_u[0])
-        recovered = PiecewiseLinear(knots_u, np.concatenate(([anchor], ver_v)))
+    ladder_v = _invert_on_grid(Q, ladder, inversion)
+    knots_u = np.concatenate(([0.0], ladder, kept_u))
+    # g at u = 0 is the line through the ladder's first two samples, at
+    # u_0/16 and u_0/8, clipped at 0
+    at_zero = 0.0 if recovers_m else max(0.0, 2.0 * ladder_v[0] - ladder_v[1])
+    spline = _CubicSpline(knots_u, np.concatenate(([at_zero], ladder_v, kept_values)))
+    # identify convolves the step density of m against g, derive g against m'
+    recovered = spline.derivative if recovers_m else spline
     residual = 0.0
     for t, u in zip(grid[kept], kept_u):
         reproduced = _segment_convolution(kernel, recovered, float(u), knots_u,
@@ -491,9 +541,9 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
 
     g(t) = Linv[F_a(s) / (s M(s))](t - a).  The recovered samples are
     certified for admissibility (slack at least ``monotone_slack``) and fed
-    back, as a piecewise-linear interpolant, through the forward
-    convolution against m'; f must be reproduced within
-    ``residual_threshold`` for the verdict Exists.
+    back, as a cubic spline, through the forward convolution against m';
+    f must be reproduced within ``residual_threshold`` for the verdict
+    Exists.
     """
     M = transform_of(d.m)
     return _solve_inverse(

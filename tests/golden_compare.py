@@ -16,8 +16,8 @@ inverted value.  A run therefore matches its golden when
   ``eps (ln2/u) sum_k |V_k Q(s_k)|``, where ``Q`` is the solver's quotient
   transform, computed here from the public ``transform_of``;
   ``max_violation`` and ``residual`` agree to that bound propagated through
-  the certificate and the verification convolution, and the residual keeps
-  its judgement against ``residual_tol``;
+  the certificate and the verification spline and convolution, and the
+  residual keeps its judgement against ``residual_tol``;
 * gap fields (``gap``, ``*_gap``) sit at or below the tolerance the program
   judges them by; their value is rounding noise and is not compared.
 
@@ -37,6 +37,7 @@ import numpy as np
 
 from choqint import differentiate, evaluate, parse, stehfest_weights, transform_of
 from choqint.cli import build_parser
+from choqint.laplace import _CubicSpline
 from golden_manifest import GOLDEN
 
 EPS = float(np.finfo(float).eps)
@@ -125,44 +126,50 @@ def value_bounds(args, report) -> np.ndarray:
 
 
 def _verification_knots(kept: np.ndarray) -> np.ndarray:
-    """The offsets the solver inverts again to verify its recovery: a
-    graded ladder in the leading gap plus three interior points per cell
-    (``laplace._solve_inverse``)."""
+    """The knots of the solver's verification spline: 0, a graded ladder in
+    the leading gap, the only offsets it inverts again, and the kept report
+    offsets (``laplace._solve_inverse``)."""
     ladder = kept[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    interior = kept[:-1, None] + np.diff(kept)[:, None] * (np.arange(1, 4) / 4.0)
-    return np.unique(np.concatenate((ladder, kept, interior.ravel())))
+    return np.concatenate(([0.0], ladder, kept))
 
 
 def residual_bound(args, report) -> float:
     """Value bound propagated through the verification convolution.
 
-    The reproduced f(t) is linear in the re-inverted samples, and every
-    coefficient is nonnegative: m' >= 0 weighs the interpolated derivative,
-    and for identify summation by parts turns the slopes of the interpolated
-    m (pinned at m(0) = 0) into differences of cell means of the
-    nondecreasing g.  The worst drift of f(t) is therefore the same
-    convolution applied to the per-sample drift bounds."""
+    The solver interpolates its knot values y_j by a cubic spline, which is
+    linear in them: sum_j y_j l_j, with l_j the cardinal spline through the
+    j-th unit vector.  Derive convolves that spline of g against m'; identify
+    convolves its derivative, the step density of m, against g.  Cardinal
+    splines change sign, so a drift delta_j of y_j moves the interpolant by
+    at most sum_j |l_j| delta_j (derive) or sum_j |l_j'| delta_j (identify),
+    and since the kernel is nonnegative, the same convolution applied to that
+    envelope bounds the drift of the reproduced f(t)."""
     u = inverse_offsets(args, report)
     kept = u[1:] if report["certificate"]["first_point_excluded"] else u
-    samples = _verification_knots(kept)
-    sample_drift = C_ROUNDING * stehfest_rounding_bound(args, samples)
-    knots = np.concatenate(([0.0], samples))
+    knots = _verification_knots(kept)
+    drift = C_ROUNDING * stehfest_rounding_bound(args, knots[1:])
     if args.command == "derive":
-        # the solver anchors its interpolant at u = 0 by extrapolating the
-        # first two samples linearly
-        r = samples[0] / (samples[1] - samples[0])
-        anchor = (1.0 + r) * sample_drift[0] + r * sample_drift[1]
-        drift = np.concatenate(([anchor], sample_drift))
+        # the solver's value at u = 0 is 2 y_1 - y_2, the line through the
+        # first two ladder samples
+        at_zero = 2.0 * drift[0] + drift[1]
         density = differentiate(parse(args.m))
 
-        def integrand(T, x):
-            return evaluate(density, T - x) * np.interp(x, knots, drift)
+        def kernel(T, x):
+            return evaluate(density, T - x)
     else:
-        slopes = np.diff(np.concatenate(([0.0], sample_drift))) / np.diff(knots)
+        at_zero = 0.0  # m(0) = 0 is pinned
         g = parse(args.g)
 
-        def integrand(T, x):
-            return slopes[np.searchsorted(knots, x) - 1] * evaluate(g, args.a + T - x)
+        def kernel(T, x):
+            return evaluate(g, args.a + T - x)
+
+    drift = np.concatenate(([at_zero], drift))
+    cardinals = [_CubicSpline(knots, unit) for unit in np.eye(knots.size)]
+
+    def envelope(x):
+        if args.command == "derive":
+            return sum(d * np.abs(c(x)) for d, c in zip(drift, cardinals))
+        return sum(d * np.abs(c.derivative(x)) for d, c in zip(drift, cardinals))
 
     nodes, weights = np.polynomial.legendre.leggauss(args.nodes)
     f = parse(args.f)
@@ -171,7 +178,7 @@ def residual_bound(args, report) -> float:
         cuts = knots[knots <= T]
         mids, halves = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
         x = mids[:, None] + halves[:, None] * nodes
-        reproduced_drift = float(np.sum(halves * (integrand(T, x) @ weights)))
+        reproduced_drift = float(np.sum(halves * ((kernel(T, x) * envelope(x)) @ weights)))
         worst = max(worst, reproduced_drift / (1.0 + abs(evaluate(f, args.a + T))))
     return worst
 

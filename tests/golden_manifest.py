@@ -5,9 +5,9 @@ key order, input echo, grid, flags and verdicts exactly; float digits only
 to the method's rounding bound (see ``golden_compare``), since they differ
 between numpy/BLAS builds.
 
-Regenerate only after an intentional output change, never to absorb a
-platform's float drift:
-    python tests/regenerate_goldens.py
+Regenerate only after an intentional output change, and only the files it
+changes, never to absorb a platform's float drift:
+    python tests/regenerate_goldens.py NAME ...
 """
 
 import pathlib

@@ -1,8 +1,13 @@
 """Regenerate the committed golden CLI outputs (run from anywhere).
 
-Run this only after an intentional change to what the CLI prints.  The
-golden tests compare float digits at the method's rounding bound, not byte
-for byte, so a platform's float drift is no reason to regenerate.
+    python tests/regenerate_goldens.py [NAME ...]
+
+Run this only after an intentional change to what the CLI prints, and name
+the golden files whose output that change moves: rewriting the others would
+fold this machine's float drift into them.  With no names, every golden is
+rewritten.  The golden tests compare float digits at the method's rounding
+bound, not byte for byte, so a platform's float drift is no reason to
+regenerate.
 """
 
 import subprocess
@@ -11,9 +16,14 @@ import sys
 from golden_manifest import GOLDEN, GOLDEN_RUNS
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = set(names) - {name for name, _, _ in GOLDEN_RUNS}
+    if unknown:
+        raise SystemExit(f"no pinned run named {', '.join(sorted(unknown))}")
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, expected_exit in GOLDEN_RUNS:
+        if names and name not in names:
+            continue
         proc = subprocess.run([sys.executable, "-m", "choqint", *argv],
                               capture_output=True, text=True)
         if proc.returncode != expected_exit:
@@ -25,4 +35,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -176,6 +176,18 @@ class TestChecksPerRun:
                          "check_f_plus": certificates}
 
 
+def test_inverse_solves_import_no_scipy():
+    # numpy is the only dependency; scipy may be installed where the tests
+    # run, so an accidental import would otherwise go unnoticed
+    code = (f"import io, sys, contextlib; from choqint import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main({ARGV['derive']!r}), cli.main({ARGV['identify']!r})]\n"
+            f"print(codes, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
 class TestOutputs:
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.csv"

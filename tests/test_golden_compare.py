@@ -5,7 +5,7 @@ import json
 import pytest
 
 from choqint.report import to_json
-from golden_compare import parse_args, report_mismatches, value_bounds
+from golden_compare import parse_args, report_mismatches, residual_bound, value_bounds
 from golden_manifest import GOLDEN, GOLDEN_RUNS
 
 ARGV = {name: argv for name, argv, _ in GOLDEN_RUNS}
@@ -24,6 +24,17 @@ def _move_inverted_value(data, args):
 
 def _move_forward_value(data, args):
     data["results"][2]["value"] *= 1.0 + 1e-7
+    return data
+
+
+def _move_residual(data, args):
+    data["residual"] += 10.0 * residual_bound(args, data)
+    return data
+
+
+def _residual_across_tolerance(data, args):
+    below = data["residual"] <= args.residual_tol
+    data["residual"] = args.residual_tol * (1.5 if below else 0.5)
     return data
 
 
@@ -61,6 +72,8 @@ def _flip_csv_flag(text, args):
 PERTURBATIONS = [
     ("inverted_value_10x_bound", "derive_power35.json", _json_edit(_move_inverted_value)),
     ("forward_value_1e-7_relative", "verify_sqrt.json", _json_edit(_move_forward_value)),
+    ("residual_10x_bound", "derive_power35.json", _json_edit(_move_residual)),
+    ("identify_residual_10x_bound", "identify_power55.json", _json_edit(_move_residual)),
     ("monotone_ok_flipped", "derive_power35.json", _json_edit(_flip_flag)),
     ("monotone_ok_flipped_csv", "derive_power35.csv", _flip_csv_flag),
     ("verdict_changed", "derive_power35.json", _json_edit(_change_verdict)),
@@ -79,3 +92,14 @@ def test_comparator_rejects_perturbed_golden(name, perturb):
     perturbed = perturb(golden, parse_args(argv))
     assert perturbed != golden
     assert report_mismatches(argv, golden, perturbed)
+
+
+@pytest.mark.parametrize("name", ["derive_power35.json", "derive_sqrt_no_derivative.json"])
+def test_comparator_judges_residual_against_tolerance(name):
+    # any such move is also far beyond the drift bound; the judgement
+    # against residual_tol must be reported in its own right
+    argv = ARGV[name]
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    perturbed = _json_edit(_residual_across_tolerance)(golden, parse_args(argv))
+    problems = report_mismatches(argv, golden, perturbed)
+    assert any("judged otherwise" in problem for problem in problems)

@@ -25,6 +25,8 @@ from choqint import (
     stehfest_weights,
     transform_of,
 )
+from choqint import laplace
+from choqint.laplace import _CubicSpline
 from helpers import beta_integral, sqrt_forward_value
 
 QUADRATIC = "t^2/2"
@@ -326,6 +328,60 @@ class TestProblem3:
         report = solve_problem3(parse("0"), parse("t"), 0.0, np.linspace(0.3, 2.0, 5))
         assert report.verdict is Verdict.INCONCLUSIVE
         assert np.allclose(report.values, 0.0, atol=1e-12)
+
+
+class TestVerificationWork:
+    """A solve inverts its report points once and a ladder of five offsets in
+    the leading gap again; the verification spline needs nothing else."""
+
+    @pytest.mark.parametrize("f,g,grid", [
+        ("pow(t - 1, 3.5)", None, np.linspace(1.1, 4.0, 20)),
+        ("sqrt(t - 1)", None, np.linspace(1.0, 4.0, 12)),
+        ("pow(t - 1, 5.5)", "sqrt(t - 1)", np.linspace(1.1, 4.0, 50)),
+    ], ids=["derive-20", "derive-12-first-excluded", "identify-50"])
+    def test_inversions_per_solve(self, f, g, grid, monkeypatch):
+        calls = []
+        original = laplace.invert_laplace
+
+        def spy(F, t, cfg=laplace.DEFAULT_INVERSION):
+            calls.append(t)
+            return original(F, t, cfg)
+
+        monkeypatch.setattr(laplace, "invert_laplace", spy)
+        if g is None:
+            report = solve_problem2(parse(f), quad_distortion(), 1.0, grid)
+        else:
+            report = solve_problem3(parse(f), parse(g), 1.0, grid)
+        assert report.verdict is not Verdict.INCONCLUSIVE
+        assert len(calls) == grid.size + 5
+
+
+class TestCubicSpline:
+    KNOTS = np.array([0.0, 0.05, 0.3, 0.35, 1.0, 2.5, 2.6, 4.0])
+    OFF_KNOT = np.linspace(0.013, 3.97, 61)
+
+    def test_reproduces_a_cubic_and_its_derivative(self):
+        p = np.polynomial.Polynomial([1.0, -2.0, 0.5, -0.3])
+        spline = _CubicSpline(self.KNOTS, p(self.KNOTS))
+        assert np.allclose(spline(self.OFF_KNOT), p(self.OFF_KNOT), rtol=0.0, atol=1e-12)
+        assert np.allclose(spline.derivative(self.OFF_KNOT), p.deriv()(self.OFF_KNOT),
+                           rtol=0.0, atol=1e-12)
+
+    def test_exact_on_linear_data(self):
+        spline = _CubicSpline(self.KNOTS, 3.0 - 0.5 * self.KNOTS)
+        assert np.allclose(spline(self.OFF_KNOT), 3.0 - 0.5 * self.OFF_KNOT,
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(spline.derivative(self.OFF_KNOT), -0.5, rtol=0.0, atol=1e-14)
+
+    def test_interpolates_its_knots(self):
+        y = np.sin(self.KNOTS)
+        assert np.allclose(_CubicSpline(self.KNOTS, y)(self.KNOTS), y, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0]],
+                             ids=["repeated", "decreasing", "three-knots"])
+    def test_rejects_bad_knots(self, x):
+        with pytest.raises(ValueError):
+            _CubicSpline(x, np.zeros(len(x)))
 
 
 class TestRoundtrips:
