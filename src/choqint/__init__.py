@@ -39,7 +39,6 @@ from .exprlang import Expr, differentiate, evaluate, parse, render, substitute
 from .laplace import (
     DEFAULT_INVERSION,
     InversionConfig,
-    PiecewiseLinear,
     SolveReport,
     Verdict,
     forward_laplace,
@@ -69,7 +68,7 @@ __all__ = [
     # quadrature
     "QuadratureConfig", "DEFAULT_QUADRATURE", "graded_mesh", "integrate",
     # transforms and solvers
-    "InversionConfig", "DEFAULT_INVERSION", "PiecewiseLinear",
+    "InversionConfig", "DEFAULT_INVERSION",
     "forward_laplace", "transform_of", "invert_laplace", "stehfest_weights",
     "SolveReport", "Verdict",
     "solve_problem1", "solve_problem2", "solve_problem3",

@@ -29,7 +29,7 @@ from .capacity import (
     require_f_plus,
 )
 from .errors import InvalidIntervalError
-from .exprlang import Expr, Num, Var, add, evaluate, substitute
+from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
 __all__ = [
@@ -87,14 +87,6 @@ class ChoquetProblem:
         object.__setattr__(self, "t_grid", grid)
         require_f_plus("g", self.g, self.a, grid[-1])
 
-    def interval_measure(self, u, v):
-        """mu([u, v]) under the problem's measure."""
-        return self.measure.evaluate(u, v)
-
-    def capacity(self) -> Measure:
-        """The measure as an interval capacity, which a distortion is itself."""
-        return self.measure
-
 
 def _check_t(problem: ChoquetProblem, t: float) -> None:
     if t < problem.a:
@@ -116,7 +108,7 @@ def choquet_level_set(problem: ChoquetProblem, t: float,
     g = problem.g
     g_a = evaluate(g, a)
     g_t = evaluate(g, t)
-    base = g_a * float(problem.interval_measure(a, t))
+    base = g_a * float(problem.measure.evaluate(a, t))
     if g_t <= g_a:
         return base
 
@@ -130,7 +122,7 @@ def choquet_level_set(problem: ChoquetProblem, t: float,
             lo = np.where(reached, lo, mid)
             if float(np.max(hi - lo)) <= BISECTION_TOL:
                 break
-        return np.asarray(problem.interval_measure(hi, t), dtype=float)
+        return np.asarray(problem.measure.evaluate(hi, t), dtype=float)
 
     return base + integrate(alpha_integrand, g_a, g_t, cfg)
 
@@ -152,7 +144,7 @@ def _general_integrand(problem: ChoquetProblem, a: float, t: float):
     a far-off origin does not coarsen it; the distance to the nearer end
     keeps the step from straddling a singular m' of a concave m at tau = t.
     """
-    cap, g = problem.capacity(), problem.g
+    cap, g = problem.measure, problem.g
     h = 1e-5 * max(1.0, t - a)
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -218,7 +210,7 @@ def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
 
 def _rebased(h: Expr, a: float) -> Expr:
     """h(r + a) as an expression in r: [a, t] carried to [0, t - a]."""
-    return substitute(h, add(Var(), Num(a)))
+    return substitute(h, build(Add, Var(), Num(a)))
 
 
 def shift_to_origin(problem: ChoquetProblem) -> ChoquetProblem:

@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .capacity import Distortion, certify_samples
+from .capacity import MONOTONE_SLACK, Distortion, certify_samples
 from .choquet import (
     ChoquetProblem,
     check_hereditary,
@@ -49,12 +49,15 @@ from .errors import (
 )
 from .exprlang import parse
 from .laplace import (
+    DECISIVE_RATIO,
+    DEFAULT_INVERSION,
+    RESIDUAL_THRESHOLD,
     InversionConfig,
     Verdict,
     solve_problem2,
     solve_problem3,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .report import RunReport
 
 EXIT_OK = 0
@@ -96,17 +99,18 @@ FORWARD = ("integrate", "verify")
 INVERSE = ("derive", "identify")
 
 #: (flag, type, default, the subcommands that read it); a subcommand takes
-#: and echoes exactly its own settings, in this order
+#: and echoes exactly its own settings, in this order.  Defaults are the
+#: library's; only verify's route tolerances are the CLI's own
 SETTINGS = (
-    ("--subintervals", int, 40, FORWARD),
-    ("--nodes", int, 16, FORWARD + INVERSE),
-    ("--refinement-tol", float, 1e-8, FORWARD),
-    ("--max-refinements", int, 6, FORWARD),
-    ("--grading", float, 0.5, FORWARD),
-    ("--stehfest-terms", int, 16, INVERSE),
-    ("--monotone-slack", tolerance, 1e-10, ("integrate",) + INVERSE),
-    ("--residual-tol", tolerance, 1e-2, INVERSE),
-    ("--decisive-ratio", tolerance, 1e-3, INVERSE),
+    ("--subintervals", int, DEFAULT_QUADRATURE.subintervals, FORWARD),
+    ("--nodes", int, DEFAULT_QUADRATURE.nodes_per_subinterval, FORWARD + INVERSE),
+    ("--refinement-tol", float, DEFAULT_QUADRATURE.refinement_tolerance, FORWARD),
+    ("--max-refinements", int, DEFAULT_QUADRATURE.max_refinements, FORWARD),
+    ("--grading", float, DEFAULT_QUADRATURE.endpoint_grading, FORWARD),
+    ("--stehfest-terms", int, DEFAULT_INVERSION.stehfest_terms, INVERSE),
+    ("--monotone-slack", tolerance, MONOTONE_SLACK, ("integrate",) + INVERSE),
+    ("--residual-tol", tolerance, RESIDUAL_THRESHOLD, INVERSE),
+    ("--decisive-ratio", tolerance, DECISIVE_RATIO, INVERSE),
     ("--route-tol", tolerance, 1e-5, ("verify",)),
     ("--hereditary-tol", tolerance, 1e-6, ("verify",)),
     ("--shift-tol", tolerance, 1e-10, ("verify",)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class Neg(Expr):
         return -self.arg._eval(t)
 
     def _diff(self):
-        return neg(self.arg._diff())
+        return build(Neg, self.arg._diff())
 
     def _render(self, prec):
         body = "-" + self.arg._render(3)
@@ -125,7 +125,7 @@ class Add(Expr):
         return self.lhs._eval(t) + self.rhs._eval(t)
 
     def _diff(self):
-        return add(self.lhs._diff(), self.rhs._diff())
+        return build(Add, self.lhs._diff(), self.rhs._diff())
 
     def _render(self, prec):
         body = f"{self.lhs._render(1)} + {self.rhs._render(2)}"
@@ -141,7 +141,7 @@ class Sub(Expr):
         return self.lhs._eval(t) - self.rhs._eval(t)
 
     def _diff(self):
-        return sub(self.lhs._diff(), self.rhs._diff())
+        return build(Sub, self.lhs._diff(), self.rhs._diff())
 
     def _render(self, prec):
         body = f"{self.lhs._render(1)} - {self.rhs._render(2)}"
@@ -157,7 +157,8 @@ class Mul(Expr):
         return self.lhs._eval(t) * self.rhs._eval(t)
 
     def _diff(self):
-        return add(mul(self.lhs._diff(), self.rhs), mul(self.lhs, self.rhs._diff()))
+        return build(Add, build(Mul, self.lhs._diff(), self.rhs),
+                     build(Mul, self.lhs, self.rhs._diff()))
 
     def _render(self, prec):
         body = f"{self.lhs._render(2)}*{self.rhs._render(3)}"
@@ -177,8 +178,9 @@ class Div(Expr):
         return self.lhs._eval(t) / den
 
     def _diff(self):
-        num = sub(mul(self.lhs._diff(), self.rhs), mul(self.lhs, self.rhs._diff()))
-        return div(num, mul(self.rhs, self.rhs))
+        num = build(Sub, build(Mul, self.lhs._diff(), self.rhs),
+                    build(Mul, self.lhs, self.rhs._diff()))
+        return build(Div, num, build(Mul, self.rhs, self.rhs))
 
     def _render(self, prec):
         body = f"{self.lhs._render(2)}/{self.rhs._render(3)}"
@@ -208,7 +210,8 @@ class Pow(Expr):
             if c == 0.0:
                 return Num(0.0)
             # d(u^c) = c * u^(c-1) * u'
-            return mul(mul(Num(c), pw(self.base, Num(c - 1.0))), self.base._diff())
+            return build(Mul, build(Mul, Num(c), build(Pow, self.base, Num(c - 1.0))),
+                         self.base._diff())
         if isinstance(self.base, Num):
             c = self.base.value
             if c <= 0.0:
@@ -216,7 +219,7 @@ class Pow(Expr):
                     f"cannot differentiate {render(self)}: non-positive constant base"
                 )
             # d(c^u) = c^u * ln(c) * u'
-            return mul(mul(self, Num(math.log(c))), self.exponent._diff())
+            return build(Mul, build(Mul, self, Num(math.log(c))), self.exponent._diff())
         raise NonDifferentiableError(
             f"cannot differentiate {render(self)}: both base and exponent vary"
         )
@@ -239,7 +242,7 @@ class Sqrt(Expr):
         return np.sqrt(u)
 
     def _diff(self):
-        return div(self.arg._diff(), mul(Num(2.0), self))
+        return build(Div, self.arg._diff(), build(Mul, Num(2.0), self))
 
     def _render(self, prec):
         return f"sqrt({self.arg._render(0)})"
@@ -253,7 +256,7 @@ class Exp(Expr):
         return np.exp(self.arg._eval(t))
 
     def _diff(self):
-        return mul(self, self.arg._diff())
+        return build(Mul, self, self.arg._diff())
 
     def _render(self, prec):
         return f"exp({self.arg._render(0)})"
@@ -271,7 +274,7 @@ class Ln(Expr):
         return np.log(u)
 
     def _diff(self):
-        return div(self.arg._diff(), self.arg)
+        return build(Div, self.arg._diff(), self.arg)
 
     def _render(self, prec):
         return f"ln({self.arg._render(0)})"
@@ -292,75 +295,33 @@ class Abs(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Folding constructors.  Constant subtrees collapse by running through the
-# standard evaluator, so folded values are bit-identical to unfolded
-# evaluation; invalid constants (1/0, ln(-1), overflow) stay unfolded and
-# error at evaluation time exactly as written.  Identity folds are limited
-# to those that cannot widen the domain (in particular x^1 keeps its node:
-# powers reject negative bases, bare x does not).
+# Folding builder.  Every tree the package makes (parser, derivatives,
+# substitution) goes through ``build``.  A node whose operands are all
+# constant collapses by running through the standard evaluator, so folded
+# values are bit-identical to unfolded evaluation; invalid constants (1/0,
+# ln(-1), overflow) stay unfolded and error at evaluation time exactly as
+# written.  Otherwise a binary node drops an operand equal to its identity
+# on that side (``_IDENTITY``: left, right; None where the side has none).
+# Identity folds are limited to those that cannot widen the domain (in
+# particular x^1 keeps its node: powers reject negative bases, bare x does
+# not; 0*x keeps its node: x may leave its domain).
 
-def _fold_constant(node: Expr) -> Expr:
-    try:
-        return Num(evaluate(node, 0.0))
-    except DomainError:
-        return node
-
-
-def neg(u: Expr) -> Expr:
-    if isinstance(u, Num):
-        return Num(-u.value)
-    return Neg(u)
+_IDENTITY = {Add: (0.0, 0.0), Sub: (None, 0.0), Mul: (1.0, 1.0), Div: (None, 1.0)}
 
 
-def add(u: Expr, v: Expr) -> Expr:
-    if isinstance(u, Num) and isinstance(v, Num):
-        return _fold_constant(Add(u, v))
-    if isinstance(u, Num) and u.value == 0.0:
-        return v
-    if isinstance(v, Num) and v.value == 0.0:
-        return u
-    return Add(u, v)
-
-
-def sub(u: Expr, v: Expr) -> Expr:
-    if isinstance(u, Num) and isinstance(v, Num):
-        return _fold_constant(Sub(u, v))
-    if isinstance(v, Num) and v.value == 0.0:
-        return u
-    return Sub(u, v)
-
-
-def mul(u: Expr, v: Expr) -> Expr:
-    if isinstance(u, Num) and isinstance(v, Num):
-        return _fold_constant(Mul(u, v))
-    if isinstance(u, Num) and u.value == 1.0:
-        return v
-    if isinstance(v, Num) and v.value == 1.0:
-        return u
-    return Mul(u, v)
-
-
-def div(u: Expr, v: Expr) -> Expr:
-    if isinstance(u, Num) and isinstance(v, Num):
-        return _fold_constant(Div(u, v))
-    if isinstance(v, Num) and v.value == 1.0:
-        return u
-    return Div(u, v)
-
-
-def pw(base: Expr, exponent: Expr) -> Expr:
-    if isinstance(base, Num) and isinstance(exponent, Num):
-        return _fold_constant(Pow(base, exponent))
-    return Pow(base, exponent)
-
-
-_FN_NODE = {"sqrt": Sqrt, "exp": Exp, "ln": Ln, "abs": Abs}
-
-
-def fn_call(name: str, arg: Expr) -> Expr:
-    node = _FN_NODE[name](arg)
-    if isinstance(arg, Num):
-        return _fold_constant(node)
+def build(cls: type, *args: Expr) -> Expr:
+    """The node ``cls(*args)``, constant-folded."""
+    node = cls(*args)
+    if all(isinstance(arg, Num) for arg in args):
+        try:
+            return Num(evaluate(node, 0.0))
+        except DomainError:
+            return node
+    left, right = _IDENTITY.get(cls, (None, None))
+    if isinstance(args[0], Num) and args[0].value == left:
+        return args[1]
+    if isinstance(args[-1], Num) and args[-1].value == right:
+        return args[0]
     return node
 
 
@@ -376,7 +337,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTIONS = ("sqrt", "exp", "ln", "abs", "pow")
+_FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "ln": Ln, "abs": Abs, "pow": Pow}
 
 
 def _byte_offset(src: str, index: int) -> int:
@@ -443,7 +404,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = build(Add if op == "+" else Sub, node, rhs)
         self.leave()
         return node
 
@@ -452,7 +413,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = build(Mul if op == "*" else Div, node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
@@ -460,13 +421,13 @@ class _Parser:
         self.enter(tok)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            node = neg(self.parse_factor())
+            node = build(Neg, self.parse_factor())
         else:
             node = self.parse_atom()
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "^":
                 self.advance()
-                node = pw(node, self.parse_factor())
+                node = build(Pow, node, self.parse_factor())
         self.leave()
         return node
 
@@ -485,14 +446,12 @@ class _Parser:
                 raise ParseError(tok.offset, "one of sqrt, exp, ln, abs, pow, or t",
                                  repr(tok.text))
             self.expect_op("(")
-            first = self.parse_expr()
+            args = [self.parse_expr()]
             if tok.text == "pow":
                 self.expect_op(",")
-                second = self.parse_expr()
-                self.expect_op(")")
-                return pw(first, second)
+                args.append(self.parse_expr())
             self.expect_op(")")
-            return fn_call(tok.text, first)
+            return build(_FUNCTIONS[tok.text], *args)
         if tok.kind == "op" and tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
@@ -555,13 +514,5 @@ def substitute(expr: Expr, replacement: Expr) -> Expr:
         return replacement
     if isinstance(expr, Num):
         return expr
-    if isinstance(expr, Neg):
-        return neg(substitute(expr.arg, replacement))
-    if isinstance(expr, (Sqrt, Exp, Ln, Abs)):
-        name = type(expr).__name__.lower()
-        return fn_call(name, substitute(expr.arg, replacement))
-    if isinstance(expr, Pow):
-        return pw(substitute(expr.base, replacement),
-                  substitute(expr.exponent, replacement))
-    ctor = {Add: add, Sub: sub, Mul: mul, Div: div}[type(expr)]
-    return ctor(substitute(expr.lhs, replacement), substitute(expr.rhs, replacement))
+    return build(type(expr), *(substitute(getattr(expr, f.name), replacement)
+                               for f in fields(expr)))

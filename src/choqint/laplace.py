@@ -48,7 +48,6 @@ __all__ = [
     "InversionConfig",
     "DEFAULT_INVERSION",
     "TRANSFORM_QUADRATURE",
-    "PiecewiseLinear",
     "forward_laplace",
     "transform_of",
     "invert_laplace",
@@ -112,29 +111,6 @@ def stehfest_weights(n: int) -> tuple[float, ...]:
             )
         weights.append(float(total * (-1) ** (k + half)))
     return tuple(weights)
-
-
-class PiecewiseLinear:
-    """Piecewise-linear interpolant with linear tail extrapolation."""
-
-    def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("knots must be strictly increasing, at least two")
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.interp(q, self.x, self.y)
-        left = q < self.x[0]
-        if left.any():
-            slope = (self.y[1] - self.y[0]) / (self.x[1] - self.x[0])
-            out = np.where(left, self.y[0] + slope * (q - self.x[0]), out)
-        right = q > self.x[-1]
-        if right.any():
-            slope = (self.y[-1] - self.y[-2]) / (self.x[-1] - self.x[-2])
-            out = np.where(right, self.y[-1] + slope * (q - self.x[-1]), out)
-        return out
 
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:

@@ -142,10 +142,6 @@ class TestGeneralRoute:
         conv = choquet_convolution(p, 1.5)
         assert choquet_general(p, 1.5) == pytest.approx(conv, rel=1e-6)
 
-    def test_distortion_validated_once_per_problem(self):
-        p = sqrt_problem(0.0, [0.0, 1.5])
-        assert p.capacity() is p.capacity()
-
     def test_far_origin_keeps_its_accuracy(self):
         # the difference step scales with t - a, so a = 1000 on a length-2
         # interval is as accurate as a = 0: int_0^2 2u (2 - u)^1.5 du
@@ -164,12 +160,12 @@ def scan_oracle(problem, t, n_alpha=4001, n_tau=20001):
     taus = np.linspace(a, t, n_tau)
     g_vals = evaluate(problem.g, taus)
     g_a, g_t = g_vals[0], g_vals[-1]
-    total = g_a * float(problem.interval_measure(a, t))
+    total = g_a * float(problem.measure.evaluate(a, t))
     if g_t <= g_a:
         return total
     alphas = np.linspace(g_a, g_t, n_alpha)
     starts = taus[np.searchsorted(g_vals, alphas)]
-    mu = np.asarray(problem.interval_measure(starts, t), dtype=float)
+    mu = np.asarray(problem.measure.evaluate(starts, t), dtype=float)
     return total + float(np.trapezoid(mu, alphas))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,22 @@ from choqint import (
     render,
     substitute,
 )
-from choqint.exprlang import Num, Var, add
+from choqint.exprlang import (
+    Abs,
+    Add,
+    Div,
+    Exp,
+    Expr,
+    Ln,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sqrt,
+    Sub,
+    Var,
+    build,
+)
 
 
 @pytest.mark.parametrize("src,t,expected", [
@@ -170,22 +186,67 @@ def test_render_parenthesizes_power_base():
 def test_constant_folding():
     assert parse("2*3 + 1") == Num(7.0)
     assert parse("sqrt(4)") == Num(2.0)
-    assert parse("t + 0") == Var()
     # folding never hides a domain error of a non-constant subtree
     with pytest.raises(DomainError):
         evaluate(parse("0*ln(t)"), 0.0)
 
 
+@pytest.mark.parametrize("src", ["t + 0", "0 + t", "t - 0", "1*t", "t*1", "t/1"])
+def test_identity_operands_fold_away(src):
+    assert parse(src) == Var()
+
+
+@pytest.mark.parametrize("src,node", [
+    ("0 - t", Sub(Num(0.0), Var())),
+    ("1/t", Div(Num(1.0), Var())),
+    ("t^1", Pow(Var(), Num(1.0))),   # a power rejects negative bases, t does not
+    ("0*t", Mul(Num(0.0), Var())),   # 0*ln(t) must still fail at t = 0
+])
+def test_non_identity_operands_keep_their_node(src, node):
+    assert parse(src) == node
+
+
+@pytest.mark.parametrize("src", ["1/0", "ln(-1)", "sqrt(-1)", "exp(1000)"])
+def test_invalid_constants_stay_unfolded(src):
+    e = parse(src)
+    assert not isinstance(e, Num)
+    with pytest.raises(DomainError):
+        evaluate(e, 0.0)
+
+
+def test_derivative_at_a_subnormal_constant_is_exact():
+    # the difference quotients of ln(c*t) read 0 here, since c*(t +- h)
+    # rounds back to c*t; the symbolic derivative is 1/t
+    d = differentiate(Ln(Mul(Num(5e-324), Var())))
+    for t in (1.0, 2.0, 3.0, 10.0):
+        assert evaluate(d, t) == 1.0 / t
+
+
 def test_substitute_shifts_variable():
     g = parse("sqrt(t - 1)")
-    shifted = substitute(g, add(Var(), Num(1.0)))
+    shifted = substitute(g, build(Add, Var(), Num(1.0)))
     for r in (0.0, 0.25, 4.0):
         assert evaluate(shifted, r) == pytest.approx(math.sqrt(r), abs=1e-15)
 
 
 def test_substitute_identity():
     g = parse("t^2 + sqrt(t)")
-    assert substitute(g, add(Var(), Num(0.0))) == g
+    assert substitute(g, build(Add, Var(), Num(0.0))) == g
+
+
+def test_substitute_variable_for_itself_rebuilds_every_node():
+    e = parse("-t + (t - 2)*t/(t + 1) + pow(t, 2.5) + sqrt(t) + exp(t) + ln(t) + abs(t)")
+    kinds = {type(node) for node in _nodes(e)}
+    assert kinds == {Var, Num, Neg, Add, Sub, Mul, Div, Pow, Sqrt, Exp, Ln, Abs}
+    assert substitute(e, Var()) == e
+
+
+def _nodes(e):
+    yield e
+    for field in dataclasses.fields(e):
+        child = getattr(e, field.name)
+        if isinstance(child, Expr):
+            yield from _nodes(child)
 
 
 def test_concurrent_evaluation_is_reentrant():

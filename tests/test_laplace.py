@@ -14,7 +14,6 @@ from choqint import (
     NonPositiveSError,
     NotInFPlusError,
     OriginNotZeroError,
-    PiecewiseLinear,
     Verdict,
     forward_laplace,
     invert_laplace,
@@ -412,31 +411,18 @@ class TestRoundtrips:
             assert oracle > 0.0
 
     def test_eq4_factorization_against_solved_output(self):
-        # transform of the solved f (sampled, interpolated, linearly
-        # extrapolated) must match s M(s) G_a(s)
+        # transform of the solved f (sampled, interpolated by a cubic
+        # spline whose end cubics continue) must match s M(s) G_a(s)
         a = 1.0
         length = 24.0
         grid = a + np.geomspace(1e-3, length, 700)
         grid = np.concatenate(([a], grid))
         report = solve_problem1(parse("sqrt(t - 1)"), quad_distortion(upper=length),
                                 a, grid)
-        sampled = PiecewiseLinear(report.grid - a, report.values)
+        sampled = _CubicSpline(report.grid - a, report.values)
         G = transform_of(parse("sqrt(t)"))
         M = transform_of(parse(QUADRATIC))
         for s in (0.5, 1.0, 2.0, 5.0):
             lhs = forward_laplace(sampled, s)
             rhs = s * M(s) * G(s)
             assert lhs == pytest.approx(rhs, rel=1e-4), s
-
-
-class TestPiecewiseLinear:
-    def test_interpolation_and_extrapolation(self):
-        f = PiecewiseLinear([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])
-        assert f(0.5) == pytest.approx(1.0)
-        assert f(2.0) == pytest.approx(2.0)
-        assert f(-1.0) == pytest.approx(-2.0)   # left tail, slope 2
-        assert f(5.0) == pytest.approx(2.0)     # right tail, slope 0
-
-    def test_rejects_unsorted_knots(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([0.0, 0.0], [1.0, 2.0])
