@@ -11,6 +11,7 @@ intervals, so nothing more is ever needed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -111,23 +112,27 @@ def require_f_plus(name: str, h: Expr, a: float, t_end: float) -> None:
 class Distortion:
     """A distortion ``m`` with its symbolic derivative, and the interval
     capacity mu([u, v]) = m(v - u) it defines, translation invariant since
-    only the length enters.  ``m`` is validated once, by
-    :meth:`from_expression`; every route trusts it from then on."""
+    only the length enters.  Construction validates ``m`` on its window
+    [0, upper] and derives ``m_prime``, so every distortion is valid and
+    every route trusts it from then on."""
 
     m: Expr
-    m_prime: Expr
+    upper: float = 10.0
+    m_prime: Expr = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _validate_distortion(self.m, self.upper)
+        object.__setattr__(self, "m_prime", differentiate(self.m))
 
     @classmethod
     def from_expression(cls, m, upper: float = 10.0) -> "Distortion":
-        """Build and validate a distortion from source text or a parsed tree.
+        """Build a distortion from source text or a parsed tree.
 
         Checks m(0) = 0 (to 1e-12) and nonnegativity/monotonicity on a dense
         grid over [0, upper]; raises :class:`InvalidDistortionError` on
         failure.
         """
-        expr = parse(m) if isinstance(m, str) else m
-        _validate_distortion(expr, upper)
-        return cls(expr, differentiate(expr))
+        return cls(parse(m) if isinstance(m, str) else m, upper)
 
     def length_measure(self, lengths):
         """m applied to interval lengths."""
@@ -147,6 +152,10 @@ class Distortion:
 
 
 def _validate_distortion(expr: Expr, upper: float) -> None:
+    if not isinstance(upper, Real) or not 0.0 < upper < np.inf:
+        raise InvalidDistortionError(
+            f"validation window [0, {upper!r}] needs a finite positive upper end"
+        )
     at_zero = evaluate(expr, 0.0)
     if abs(at_zero) > DISTORTION_SLACK:
         raise InvalidDistortionError(

@@ -28,9 +28,15 @@ from .capacity import (
     _tau_derivative_grid,
     require_f_plus,
 )
-from .errors import InvalidIntervalError
+from .errors import DivergentIntegralError, InvalidIntervalError
 from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    _gauss_nodes,
+    _pass_nodes,
+    integrate,
+)
 
 __all__ = [
     "ChoquetProblem",
@@ -48,6 +54,11 @@ Measure = Union[Distortion, IntervalCapacity]
 
 #: absolute tolerance, in tau, of the level-set bisection
 BISECTION_TOL = 1e-12
+
+#: most alpha nodes bisected at once by the level-set route: the nodes of
+#: every grid point share one bisection, in batches small enough that the
+#: expression temporaries stay in cache and peak memory stays flat
+LEVEL_SET_BATCH = 8192
 
 
 def as_grid(points) -> np.ndarray:
@@ -88,43 +99,116 @@ class ChoquetProblem:
         require_f_plus("g", self.g, self.a, grid[-1])
 
 
-def _check_t(problem: ChoquetProblem, t: float) -> None:
-    if t < problem.a:
-        raise InvalidIntervalError(f"t = {t!r} precedes the origin a = {problem.a!r}")
+def _check_t(problem: ChoquetProblem, t) -> None:
+    early = np.atleast_1d(t)
+    early = early[early < problem.a]
+    if early.size:
+        raise InvalidIntervalError(
+            f"t = {float(early[0])!r} precedes the origin a = {problem.a!r}"
+        )
 
 
-def choquet_level_set(problem: ChoquetProblem, t: float,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Brute-force route straight from the superlevel-set definition.
+def _batched(fn, out: np.ndarray) -> np.ndarray:
+    """out[part] = fn(part) for consecutive slices ``part`` of at most
+    LEVEL_SET_BATCH entries."""
+    for start in range(0, out.size, LEVEL_SET_BATCH):
+        part = slice(start, start + LEVEL_SET_BATCH)
+        out[part] = fn(part)
+    return out
 
-    The alpha-integrand mu([s_alpha, t]) is found by bisection on the
-    predicate g(tau) >= alpha, which needs only continuity and monotonicity
-    of g (leftmost crossing, so flat spots resolve to the left edge).
+
+def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """s_alpha, the leftmost tau in [a, t] with g(tau) >= alpha, for every
+    (alpha, t) pair, by bisection on that predicate, which needs only
+    continuity and monotonicity of g (flat spots resolve to the left edge).
+
+    A bracket is final once it is within BISECTION_TOL or its ends are
+    adjacent floats that halving no longer moves: the midpoint is ``hi``, or
+    it is ``lo`` where g(lo) < alpha is known.  Beyond |a| of about 1e4 no
+    bracket can reach the tolerance, so that second rule ends the loop."""
+    lo = np.full_like(alphas, a)
+    hi = ts.copy()
+    lo_below = np.zeros(alphas.shape, dtype=bool)
+    mid = 0.5 * (lo + hi)
+    for _ in range(100):
+        reached = evaluate(g, mid) >= alphas
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+        lo_below |= ~reached
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= BISECTION_TOL) | (mid == hi) | ((mid == lo) & lo_below)):
+            break
+    return hi
+
+
+def _alpha_integrals(problem: ChoquetProblem, ts: np.ndarray, g_a: float, g_ts: np.ndarray,
+                     cfg: QuadratureConfig) -> np.ndarray:
+    """int_{g(a)}^{g(t_i)} mu([s_alpha, t_i]) dalpha for every t_i, with
+    :func:`integrate`'s mesh doubling and stopping rule per point.  The
+    alpha nodes of one refinement level of every unconverged point are
+    bisected together, LEVEL_SET_BATCH nodes at a time."""
+    a, g, mu = problem.a, problem.g, problem.measure
+    _, weights = _gauss_nodes(cfg.nodes_per_subinterval)
+
+    def quadrature_pass(points: np.ndarray, cells: int) -> np.ndarray:
+        passes = [_pass_nodes(g_a, float(g_ts[i]), cells, cfg.endpoint_grading,
+                              cfg.nodes_per_subinterval) for i in points]
+        alphas = np.concatenate([nodes.ravel() for nodes, _ in passes])
+        owners, per_point = ts[points], passes[0][0].size
+
+        def level_measure(part: slice) -> np.ndarray:
+            nodes = alphas[part]
+            t_nodes = owners[np.arange(part.start, part.start + nodes.size) // per_point]
+            return mu.evaluate(_level_points(g, a, nodes, t_nodes), t_nodes)
+
+        # each batch's mu([s_alpha, t]) overwrites the alpha nodes it came from
+        levels = _batched(level_measure, alphas).reshape(len(passes), *passes[0][0].shape)
+        return np.array([float((halves * (values @ weights)).sum())
+                         for (_, halves), values in zip(passes, levels)])
+
+    cells = cfg.subintervals
+    pending = np.arange(ts.size)
+    prev = quadrature_pass(pending, cells)
+    out = np.empty(ts.size)
+    for _ in range(cfg.max_refinements):
+        cells *= 2
+        cur = quadrature_pass(pending, cells)
+        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (1.0 + np.abs(cur))
+        out[pending[done]] = cur[done]
+        pending, prev = pending[~done], cur[~done]
+        if not pending.size:
+            return out
+    raise DivergentIntegralError(
+        f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings "
+        f"at t = {float(ts[pending[0]])!r}"
+    )
+
+
+def choquet_level_set(problem: ChoquetProblem, t,
+                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float | np.ndarray:
+    """Brute-force route straight from the superlevel-set definition, at a
+    scalar ``t`` (a float) or at every entry of a 1-d array ``t`` (an
+    ndarray).
+
+    The alpha-integrand mu([s_alpha, t]) bisects for s_alpha; s_alpha
+    depends on alpha alone, so one bisection serves the nodes of every t.
+    Each t keeps its own convergence test.
     """
-    _check_t(problem, t)
-    if t == problem.a:
-        return 0.0
-    a = problem.a
-    g = problem.g
-    g_a = evaluate(g, a)
-    g_t = evaluate(g, t)
-    base = g_a * float(problem.measure.evaluate(a, t))
-    if g_t <= g_a:
-        return base
-
-    def alpha_integrand(alphas: np.ndarray) -> np.ndarray:
-        lo = np.full_like(alphas, a)
-        hi = np.full_like(alphas, t)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            reached = evaluate(g, mid) >= alphas
-            hi = np.where(reached, mid, hi)
-            lo = np.where(reached, lo, mid)
-            if float(np.max(hi - lo)) <= BISECTION_TOL:
-                break
-        return np.asarray(problem.measure.evaluate(hi, t), dtype=float)
-
-    return base + integrate(alpha_integrand, g_a, g_t, cfg)
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-d array")
+    ts = np.atleast_1d(t_arr)
+    _check_t(problem, ts)
+    a, g = problem.a, problem.g
+    g_a = float(evaluate(g, a))
+    g_ts = _batched(lambda part: evaluate(g, ts[part]), np.empty(ts.size))
+    values = g_a * _batched(lambda part: problem.measure.evaluate(a, ts[part]),
+                            np.empty(ts.size))
+    values[ts == a] = 0.0
+    open_ = (ts > a) & (g_ts > g_a)
+    if np.any(open_):
+        values[open_] += _alpha_integrals(problem, ts[open_], g_a, g_ts[open_], cfg)
+    return float(values[0]) if t_arr.ndim == 0 else values
 
 
 def _convolution_integrand(problem: ChoquetProblem, a: float, t: float):

@@ -216,10 +216,9 @@ def run_integrate(args) -> RunReport:
     values = [choquet_convolution(problem, float(t), cfg) for t in grid]
     if args.verify:
         columns = ["t", "value", "oracle_value", "gap"]
-        rows = []
-        for t, v in zip(grid, values):
-            oracle = choquet_level_set(problem, float(t), cfg)
-            rows.append([float(t), v, oracle, abs(v - oracle)])
+        oracles = choquet_level_set(problem, grid, cfg).tolist()
+        rows = [[t, v, oracle, abs(v - oracle)]
+                for t, v, oracle in zip(grid.tolist(), values, oracles)]
     else:
         columns = ["t", "value"]
         rows = [[float(t), v] for t, v in zip(grid, values)]
@@ -278,10 +277,9 @@ def run_verify(args) -> RunReport:
     max_level_set = 0.0
     max_general = 0.0
     max_shift = 0.0
-    for t in grid:
-        t = float(t)
+    oracles = choquet_level_set(problem, grid, cfg).tolist()
+    for t, oracle in zip(grid.tolist(), oracles):
         conv = choquet_convolution(problem, t, cfg)
-        oracle = choquet_level_set(problem, t, cfg)
         general = choquet_general(problem, t, cfg)
         moved = choquet_convolution(shifted, t - args.a, cfg)
         scale = 1.0 + abs(conv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choqint import (
+    ChoquetProblem,
     Distortion,
     IntervalCapacity,
     InvalidDistortionError,
@@ -31,6 +32,25 @@ class TestDistortion:
     def test_invalid_distortions(self, src):
         with pytest.raises(InvalidDistortionError):
             Distortion.from_expression(src, upper=5.0)
+
+    def test_constructor_validates(self):
+        # the second argument is the validation window's upper end; a tree
+        # there, or a decreasing m, is refused before any route can use it
+        with pytest.raises(InvalidDistortionError):
+            ChoquetProblem(0.0, parse("1"), Distortion(parse("-t"), parse("-1")),
+                           np.array([0.0, 1.0]))
+        with pytest.raises(InvalidDistortionError, match="ViolatedAt"):
+            Distortion(parse("-t"))
+
+    @pytest.mark.parametrize("upper", [0.0, -1.0, float("inf"), float("nan")])
+    def test_window_must_be_finite_and_positive(self, upper):
+        with pytest.raises(InvalidDistortionError, match="upper end"):
+            Distortion(parse("t"), upper)
+
+    def test_constructor_derives_the_density(self):
+        d = Distortion(parse("t^2/2"), 4.0)
+        assert d == Distortion.from_expression("t^2/2", upper=4.0)
+        assert evaluate(d.m_prime, 3.0) == pytest.approx(3.0)
 
     def test_violation_names_first_bad_sample(self):
         # t (4 - t) peaks at t = 2; on 401 samples over [0, 5] the first

@@ -18,7 +18,8 @@ from choqint import (
     shift_to_origin,
     uniform_grid,
 )
-from choqint import capacity
+from choqint import capacity, choquet, quadrature
+from choqint.choquet import BISECTION_TOL, LEVEL_SET_BATCH
 from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_monotone_problem
 
 
@@ -67,6 +68,113 @@ class TestLevelSetRoute:
         p = sqrt_problem(0.0, [0.0, 1.0])
         with pytest.raises(InvalidIntervalError):
             choquet_level_set(p, -0.5)
+
+
+def full_bisection(g, a, alphas, ts):
+    """The leftmost tau with g(tau) >= alpha, every bracket [a, t] halved
+    100 times with no early stop."""
+    lo, hi = np.full_like(alphas, a), np.broadcast_to(ts, alphas.shape).copy()
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        reached = evaluate(g, mid) >= alphas
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+    return hi
+
+
+def flat_start_problem(general: bool) -> ChoquetProblem:
+    # g = 0 on [0, 1], then 2(t - 1): t <= 1 leaves g(t) <= g(a)
+    d = Distortion.from_expression("t + t^2", upper=3.0)
+    measure = distorted_capacity(d, upper=3.0) if general else d
+    return ChoquetProblem(0.0, parse("abs(t - 1) + t - 1"), measure, np.array([0.0, 3.0]))
+
+
+class TestLevelSetGrid:
+    @pytest.mark.parametrize("general", [False, True], ids=["distortion", "capacity"])
+    def test_array_form_equals_scalar_form(self, general):
+        p = flat_start_problem(general)
+        ts = np.array([3.0, 0.0, 1.7, 0.5, 1.0, 2.2, 0.0])
+        values = choquet_level_set(p, ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        for t, value in zip(ts, values):
+            one = choquet_level_set(p, float(t))
+            assert isinstance(one, float)
+            assert value == pytest.approx(one, rel=1e-12, abs=0.0)
+        assert values[1] == 0.0 and values[6] == 0.0
+        # g(t) <= g(a) = 0: the value is g(a) mu([a, t]) = 0
+        assert values[3] == 0.0 and values[4] == 0.0
+        assert values[0] > values[5] > values[2] > 0.0
+
+    def test_array_form_with_nonzero_base_level(self):
+        # g(a) = 1 > 0, so flat rows keep g(a) mu([a, t]) = t + t^2
+        d = Distortion.from_expression("t + t^2", upper=3.0)
+        p = ChoquetProblem(0.0, parse("1 + abs(t - 1) + t - 1"), d, np.array([0.0, 3.0]))
+        ts = np.array([0.0, 0.5, 1.0, 2.0])
+        values = choquet_level_set(p, ts)
+        assert values[:3] == pytest.approx([0.0, 0.75, 2.0], rel=1e-15)
+        assert values[3] == pytest.approx(choquet_level_set(p, 2.0), rel=1e-12)
+
+    def test_any_t_before_origin_rejected(self):
+        p = sqrt_problem(1.0, [1.0, 3.0])
+        with pytest.raises(InvalidIntervalError, match="t = 0.5 precedes"):
+            choquet_level_set(p, np.array([1.0, 2.0, 0.5, 3.0]))
+
+    def test_no_evaluate_call_exceeds_the_batch(self, monkeypatch):
+        # 30 points of 640 alpha nodes each (1280 after one doubling) are
+        # far more than one batch
+        grid = uniform_grid(1.0, 3.0, 30)
+        p = sqrt_problem(1.0, grid)
+        sizes = []
+        for module in (choquet, capacity):
+            def spy(expr, t, _fn=module.evaluate):
+                sizes.append(np.size(t))
+                return _fn(expr, t)
+            monkeypatch.setattr(module, "evaluate", spy)
+        values = choquet_level_set(p, grid)
+        assert max(sizes) == LEVEL_SET_BATCH
+        monkeypatch.undo()
+        assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=1e-9)
+
+    def test_adjacent_floats_end_the_bisection(self, monkeypatch):
+        # ulp(1e5) = 1.5e-11 > BISECTION_TOL: no bracket reaches the
+        # tolerance, and halving a bracket of adjacent floats moves nothing
+        a = 1e5
+        d = Distortion.from_expression("t^2", upper=2.0)
+        p = ChoquetProblem(a, parse(f"pow(t - {a!r}, 1.5)"), d, np.array([a, a + 2.0]))
+        assert np.spacing(a) > BISECTION_TOL
+        steps, passes = [], []
+        real_evaluate, real_pass_nodes = choquet.evaluate, choquet._pass_nodes
+
+        def count_steps(expr, t):
+            if np.size(t) > 1 and expr is p.g:
+                steps.append(np.size(t))
+            return real_evaluate(expr, t)
+
+        def count_passes(*args):
+            passes.append(args)
+            return real_pass_nodes(*args)
+
+        monkeypatch.setattr(choquet, "evaluate", count_steps)
+        monkeypatch.setattr(choquet, "_pass_nodes", count_passes)
+        value = choquet_level_set(p, a + 2.0)
+        monkeypatch.undo()
+        assert len(steps) < 60 * len(passes)
+
+        g_t = evaluate(p.g, a + 2.0)
+        reference = quadrature.integrate(
+            lambda alphas: d.evaluate(full_bisection(p.g, a, alphas, a + 2.0), a + 2.0),
+            0.0, g_t)
+        assert value == reference
+
+    def test_adjacent_float_stop_keeps_every_boundary(self):
+        # g(tau) >= alpha = g(a) at every tau, so this bracket closes on a
+        # itself: with ends a and a + ulp, halving can still move hi to a
+        a = 1e5
+        g = parse(f"pow(t - {a!r}, 1.5)")
+        alphas = np.array([0.0, 1e-20, 0.5, 1.0, evaluate(g, a + 2.0)])
+        ts = np.full_like(alphas, a + 2.0)
+        got = choquet._level_points(g, a, alphas, ts)
+        assert np.array_equal(got, full_bisection(g, a, alphas, ts))
+        assert got[0] == a
 
 
 class TestConvolutionRoute:

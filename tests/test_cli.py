@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from golden_compare import assert_run_matches_golden
@@ -174,6 +175,26 @@ class TestChecksPerRun:
         capsys.readouterr()
         assert calls == {"_validate_distortion": validations,
                          "check_f_plus": certificates}
+
+
+@pytest.mark.parametrize("argv", [
+    ARGV["verify"],
+    ["integrate", "--g", "sqrt(t-1)", "--m", "t^2/2", "--a", "1", "--t", "1:3:5", "--verify"],
+], ids=["verify", "integrate-verify"])
+def test_level_set_route_runs_once_for_the_whole_grid(argv, monkeypatch, capsys):
+    from choqint import choquet_level_set, cli
+
+    grids = []
+
+    def spy(problem, t, *args, **kwargs):
+        grids.append(np.array(t, dtype=float))
+        return choquet_level_set(problem, t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "choquet_level_set", spy)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(grids) == 1
+    assert np.array_equal(grids[0], np.linspace(1.0, 3.0, 5))
 
 
 def test_inverse_solves_import_no_scipy():
