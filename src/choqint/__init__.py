@@ -6,21 +6,16 @@ from .capacity import (
     Distortion,
     IntervalCapacity,
     MonotoneCertificate,
-    capacity_tau_derivative,
-    certify_samples,
-    check_f_plus,
     distorted_capacity,
 )
 from .choquet import (
     ChoquetProblem,
     HereditaryCheck,
-    as_grid,
     check_hereditary,
     choquet_convolution,
     choquet_general,
     choquet_level_set,
     shift_to_origin,
-    uniform_grid,
 )
 from .errors import (
     ChoqintError,
@@ -41,15 +36,13 @@ from .laplace import (
     InversionConfig,
     SolveReport,
     Verdict,
-    forward_laplace,
     invert_laplace,
     solve_problem1,
     solve_problem2,
     solve_problem3,
-    stehfest_weights,
     transform_of,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, graded_mesh, integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 __version__ = "0.1.0"
 
@@ -58,18 +51,16 @@ __all__ = [
     # expressions
     "Expr", "parse", "evaluate", "differentiate", "render", "substitute",
     # capacities
-    "Distortion", "IntervalCapacity", "MonotoneCertificate",
-    "certify_samples", "check_f_plus", "distorted_capacity",
-    "capacity_tau_derivative",
+    "Distortion", "IntervalCapacity", "MonotoneCertificate", "distorted_capacity",
     # forward integrals
-    "ChoquetProblem", "HereditaryCheck", "as_grid", "uniform_grid",
+    "ChoquetProblem", "HereditaryCheck",
     "choquet_level_set", "choquet_convolution", "choquet_general",
     "check_hereditary", "shift_to_origin",
     # quadrature
-    "QuadratureConfig", "DEFAULT_QUADRATURE", "graded_mesh", "integrate",
+    "QuadratureConfig", "DEFAULT_QUADRATURE",
     # transforms and solvers
     "InversionConfig", "DEFAULT_INVERSION",
-    "forward_laplace", "transform_of", "invert_laplace", "stehfest_weights",
+    "transform_of", "invert_laplace",
     "SolveReport", "Verdict",
     "solve_problem1", "solve_problem2", "solve_problem3",
     # errors

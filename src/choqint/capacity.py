@@ -26,7 +26,6 @@ __all__ = [
     "Distortion",
     "IntervalCapacity",
     "distorted_capacity",
-    "capacity_tau_derivative",
 ]
 
 #: below quadrature noise, above double-precision rounding
@@ -37,6 +36,9 @@ DISTORTION_SLACK = 1e-12
 
 #: uniform samples of a distortion over its validation window [0, upper]
 DISTORTION_POINTS = 401
+
+#: uniform samples of an F+ certificate over its window [a, t_max]
+F_PLUS_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,12 @@ def certify_samples(grid, values, slack: float = MONOTONE_SLACK) -> MonotoneCert
     return MonotoneCertificate(grid, tuple(row_ok), max_violation)
 
 
-def check_f_plus(h: Expr, a: float, t_max: float, n: int = 201) -> MonotoneCertificate:
-    """Sample ``h`` on an n-point uniform grid over [a, t_max] and certify
-    membership in the class of nonnegative nondecreasing functions."""
-    if n < 2:
-        raise ValueError("certificate grid needs at least 2 points")
+def check_f_plus(h: Expr, a: float, t_max: float) -> MonotoneCertificate:
+    """Sample ``h`` on a uniform grid over [a, t_max] and certify membership
+    in the class of nonnegative nondecreasing functions."""
     if t_max <= a:
         raise ValueError("t_max must exceed a")
-    grid = np.linspace(a, t_max, n)
+    grid = np.linspace(a, t_max, F_PLUS_POINTS)
     return certify_samples(grid, evaluate(h, grid))
 
 
@@ -134,17 +134,13 @@ class Distortion:
         """
         return cls(parse(m) if isinstance(m, str) else m, upper)
 
-    def length_measure(self, lengths):
-        """m applied to interval lengths."""
-        return evaluate(self.m, lengths)
-
     def density(self, lengths):
         """m' applied to interval lengths."""
         return evaluate(self.m_prime, lengths)
 
     def evaluate(self, u, v):
         """mu([u, v]) = m(v - u)."""
-        return self.length_measure(np.asarray(v) - np.asarray(u))
+        return evaluate(self.m, np.asarray(v) - np.asarray(u))
 
     def shifted(self, offset: float) -> "Distortion":
         """mu([u + offset, v + offset]): by translation invariance, mu itself."""
@@ -171,33 +167,25 @@ def _validate_distortion(expr: Expr, upper: float) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntervalCapacity:
     """A monotone set function evaluated on closed intervals [u, v], u <= v.
 
-    ``evaluator`` may be vectorized over ndarrays; if it is not, it is
-    wrapped transparently on first use.
+    ``evaluator`` must work on ndarrays: it is called once on the broadcast
+    ``u``, ``v`` and must return values of their broadcast shape.
     """
 
     evaluator: Callable
-    _vectorized: bool | None = field(default=None, repr=False, compare=False)
 
     def evaluate(self, u, v):
         u_arr = np.asarray(u, dtype=float)
         v_arr = np.asarray(v, dtype=float)
         shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
-        if self._vectorized is None:
-            try:
-                out = np.asarray(self.evaluator(u_arr, v_arr), dtype=float)
-                self._vectorized = out.shape == shape
-            except (TypeError, ValueError):
-                self._vectorized = False
-            if self._vectorized:
-                return float(out) if shape == () else out
-        if self._vectorized:
-            out = np.asarray(self.evaluator(u_arr, v_arr), dtype=float)
-        else:
-            out = np.vectorize(self.evaluator, otypes=[float])(u_arr, v_arr)
+        out = np.asarray(self.evaluator(u_arr, v_arr), dtype=float)
+        if out.shape != shape:
+            raise TypeError(
+                f"capacity evaluator returned shape {out.shape} for intervals of shape {shape}"
+            )
         return float(out) if shape == () else out
 
     def shifted(self, offset: float) -> "IntervalCapacity":
@@ -206,31 +194,16 @@ class IntervalCapacity:
         return IntervalCapacity(lambda u, v: base(u + offset, v + offset))
 
 
-def distorted_capacity(d: Distortion, upper: float = 10.0) -> IntervalCapacity:
+def distorted_capacity(d: Distortion) -> IntervalCapacity:
     """The capacity mu([u, v]) = m(v - u) of a distortion, as a general
     :class:`IntervalCapacity`, so that routes treat it like any other
-    capacity.  Re-validates the distortion on [0, upper].
+    capacity.  ``d`` was validated where it was built.
     """
-    _validate_distortion(d.m, upper)
     return IntervalCapacity(d.evaluate)
 
 
-def capacity_tau_derivative(c: IntervalCapacity, tau: float, t: float,
-                            h: float | None = None, lower: float | None = None) -> float:
-    """Finite-difference approximation of d/dtau mu([tau, t]) at tau: the
-    scalar form of :func:`_tau_derivative_grid`, with step ``h`` (default
-    1e-5 * max(1, t - tau): the interval length, not the position t);
-    one-sided at ``t`` (and at ``lower`` if given).
-    """
-    if h is None:
-        h = 1e-5 * max(1.0, t - tau)
-    if tau > t:
-        raise ValueError("tau must not exceed t")
-    return float(_tau_derivative_grid(c, np.array([float(tau)]), t, h, lower)[0])
-
-
 def _tau_derivative_grid(c: IntervalCapacity, taus: np.ndarray, t: float,
-                         h: float | np.ndarray, lower: float | None) -> np.ndarray:
+                         h: float | np.ndarray, lower: float) -> np.ndarray:
     """d/dtau mu([tau, t]) at every tau by differences with step ``h``.
 
     Steps shrink one-sidedly near the interval ends so the capacity is never
@@ -238,10 +211,7 @@ def _tau_derivative_grid(c: IntervalCapacity, taus: np.ndarray, t: float,
     wherever both steps equal ``h``.
     """
     up = np.minimum(h, np.maximum(t - taus, 0.0))
-    if lower is None:
-        down = np.full_like(taus, h)
-    else:
-        down = np.minimum(h, np.maximum(taus - lower, 0.0))
+    down = np.minimum(h, np.maximum(taus - lower, 0.0))
     total = up + down
     total[total == 0.0] = 1.0  # degenerate zero-length interval; numerator is 0 too
     return (c.evaluate(taus + up, t) - c.evaluate(taus - down, t)) / total

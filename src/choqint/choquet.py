@@ -223,17 +223,16 @@ def _general_integrand(problem: ChoquetProblem, a: float, t: float):
     """-d/dtau mu([tau, t]) g(tau) at tau = t - u, u in [0, t - a], for an
     origin a at or after the problem's.
 
-    The difference step at u is min(h, 1e-5 min(u, t - a - u)).  h =
-    1e-5 max(1, t - a) follows the interval length, not the position t, so
-    a far-off origin does not coarsen it; the distance to the nearer end
-    keeps the step from straddling a singular m' of a concave m at tau = t.
+    The difference step at u is 1e-5 min(u, t - a - u).  It follows the
+    distance to the nearer end of the interval, not the position t, so a
+    far-off origin does not coarsen it, and it never straddles a singular
+    m' of a concave m at tau = t.
     """
     cap, g = problem.measure, problem.g
-    h = 1e-5 * max(1.0, t - a)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         taus = np.maximum(t - u, a)
-        steps = np.minimum(h, 1e-5 * np.minimum(u, t - a - u))
+        steps = 1e-5 * np.minimum(u, t - a - u)
         return -_tau_derivative_grid(cap, taus, t, steps, a) * evaluate(g, taus)
 
     return integrand

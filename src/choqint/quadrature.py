@@ -88,12 +88,13 @@ def composite_gauss_legendre(
     fn: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    subintervals: int | None = None,
+    cfg: QuadratureConfig,
+    subintervals: int,
 ) -> float:
-    """Single fixed-mesh pass; ``fn`` must map an ndarray of points to values."""
-    points, halves = _pass_nodes(a, b, subintervals or cfg.subintervals,
-                                 cfg.endpoint_grading, cfg.nodes_per_subinterval)
+    """One pass on a mesh of ``subintervals`` cells; ``fn`` must map an
+    ndarray of points to values."""
+    points, halves = _pass_nodes(a, b, subintervals, cfg.endpoint_grading,
+                                 cfg.nodes_per_subinterval)
     _, w = _gauss_nodes(cfg.nodes_per_subinterval)
     values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
     return float((halves * (values @ w)).sum())
@@ -119,10 +120,10 @@ def integrate(
     if b == a:
         return 0.0
     n = cfg.subintervals
-    prev = composite_gauss_legendre(fn, a, b, cfg, subintervals=n)
+    prev = composite_gauss_legendre(fn, a, b, cfg, n)
     for _ in range(cfg.max_refinements):
         n *= 2
-        cur = composite_gauss_legendre(fn, a, b, cfg, subintervals=n)
+        cur = composite_gauss_legendre(fn, a, b, cfg, n)
         if abs(cur - prev) <= cfg.refinement_tolerance * (absolute_floor + abs(cur)):
             return cur
         prev = cur

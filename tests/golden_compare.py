@@ -35,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from choqint import differentiate, evaluate, parse, stehfest_weights, transform_of
+from choqint import differentiate, evaluate, parse, transform_of
 from choqint.cli import build_parser
-from choqint.laplace import _CubicSpline
+from choqint.laplace import _CubicSpline, stehfest_weights
 from golden_manifest import GOLDEN
 
 EPS = float(np.finfo(float).eps)

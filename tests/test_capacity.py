@@ -9,14 +9,17 @@ from choqint import (
     IntervalCapacity,
     InvalidDistortionError,
     NotInFPlusError,
-    capacity_tau_derivative,
-    certify_samples,
-    check_f_plus,
     distorted_capacity,
     evaluate,
     parse,
 )
-from choqint.capacity import require_f_plus
+from choqint.capacity import (
+    _tau_derivative_grid,
+    certify_samples,
+    check_f_plus,
+    require_f_plus,
+)
+from choqint.choquet import _general_integrand
 
 
 class TestDistortion:
@@ -58,13 +61,9 @@ class TestDistortion:
         with pytest.raises(InvalidDistortionError, match=r"t = 2\.012.*ViolatedAt\(161\)"):
             Distortion.from_expression("t*(4 - t)", upper=5.0)
 
-    def test_length_measure(self):
-        d = Distortion.from_expression("t^2/2", upper=4.0)
-        assert d.length_measure(2.0) == pytest.approx(2.0)
-
     def test_is_its_own_interval_capacity(self):
         d = Distortion.from_expression("t^2/2 + sqrt(t)", upper=4.0)
-        cap = distorted_capacity(d, upper=4.0)
+        cap = distorted_capacity(d)
         assert d.evaluate(0.5, 3.25) == cap.evaluate(0.5, 3.25)
         assert type(d.evaluate(0.5, 3.25)) is type(cap.evaluate(0.5, 3.25))
         u = np.linspace(-1.0, 1.0, 7)
@@ -76,7 +75,7 @@ class TestDistortion:
 class TestDistortedCapacity:
     def test_example_quadratic(self):
         d = Distortion.from_expression("t^2/2", upper=4.0)
-        cap = distorted_capacity(d, upper=4.0)
+        cap = distorted_capacity(d)
         assert cap.evaluate(1.0, 3.0) == pytest.approx(2.0)  # m(2) = 2
 
     def test_identity_is_lebesgue(self):
@@ -86,12 +85,12 @@ class TestDistortedCapacity:
 
     def test_empty_interval(self):
         d = Distortion.from_expression("t^2/2", upper=6.0)
-        cap = distorted_capacity(d, upper=6.0)
+        cap = distorted_capacity(d)
         assert cap.evaluate(5.0, 5.0) == 0.0
 
     def test_nested_interval_monotonicity(self):
         d = Distortion.from_expression("0.3*t + 0.2*t^2", upper=12.0)
-        cap = distorted_capacity(d, upper=12.0)
+        cap = distorted_capacity(d)
         rng = np.random.default_rng(7)
         for _ in range(50):
             u, v = np.sort(rng.uniform(0.0, 5.0, 2))
@@ -104,7 +103,7 @@ class TestDistortedCapacity:
     def test_translation_invariance_on_exact_shifts(self):
         # dyadic endpoints shift without rounding, so equality is exact
         d = Distortion.from_expression("t^2/2 + t", upper=20.0)
-        cap = distorted_capacity(d, upper=20.0)
+        cap = distorted_capacity(d)
         rng = np.random.default_rng(11)
         for _ in range(100):
             u, v = np.sort(rng.integers(0, 1024, 2) / 256.0)
@@ -134,8 +133,6 @@ class TestCheckFPlus:
         assert cert.violation_index == 0
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            check_f_plus(parse("t"), 0.0, 1.0, n=1)
         with pytest.raises(ValueError):
             check_f_plus(parse("t"), 1.0, 1.0)
 
@@ -173,59 +170,86 @@ class TestCertifySamples:
         assert cert.violation_index == 1
 
 
+def tau_derivative(cap, tau, t, lower=0.0, h=1e-5):
+    return float(_tau_derivative_grid(cap, np.array([tau]), t, h, lower)[0])
+
+
 class TestTauDerivative:
     def test_distorted_quadratic(self):
         d = Distortion.from_expression("t^2/2", upper=4.0)
-        cap = distorted_capacity(d, upper=4.0)
+        cap = distorted_capacity(d)
         # d/dtau m(t - tau) = -m'(t - tau) = -(3 - 1) = -2
-        assert capacity_tau_derivative(cap, 1.0, 3.0) == pytest.approx(-2.0, rel=1e-9)
+        assert tau_derivative(cap, 1.0, 3.0) == pytest.approx(-2.0, rel=1e-9)
 
     def test_lebesgue_is_minus_one(self):
         cap = distorted_capacity(Distortion.from_expression("t", upper=10.0))
-        assert capacity_tau_derivative(cap, 2.0, 7.0) == pytest.approx(-1.0, rel=1e-9)
+        assert tau_derivative(cap, 2.0, 7.0) == pytest.approx(-1.0, rel=1e-9)
 
     def test_at_upper_endpoint_one_sided(self):
         # m = t + t^2 has m'(0) = 1; tau = t forces the backward difference
         d = Distortion.from_expression("t + t^2", upper=8.0)
-        cap = distorted_capacity(d, upper=8.0)
-        got = capacity_tau_derivative(cap, 3.0, 3.0)
+        cap = distorted_capacity(d)
+        got = tau_derivative(cap, 3.0, 3.0)
         assert got == pytest.approx(-evaluate(d.m_prime, 0.0), abs=1e-4)
+
+    def test_at_lower_endpoint_one_sided(self):
+        # tau = lower forces the forward difference: mu is never asked for
+        # an interval that starts before lower
+        d = Distortion.from_expression("t + t^2", upper=8.0)
+        seen = []
+
+        def spy(u, v):
+            seen.append(np.min(u))
+            return d.evaluate(u, v)
+
+        got = tau_derivative(IntervalCapacity(spy), 1.0, 3.0, lower=1.0)
+        assert min(seen) == 1.0
+        assert got == pytest.approx(-evaluate(d.m_prime, 2.0), abs=1e-4)
 
     def test_links_to_symbolic_density(self):
         d = Distortion.from_expression("0.5*t^2 + 0.25*t^3", upper=8.0)
-        cap = distorted_capacity(d, upper=8.0)
+        cap = distorted_capacity(d)
         for tau, t in ((0.5, 3.0), (2.0, 6.5), (1.0, 1.5)):
             want = -evaluate(d.m_prime, t - tau)
-            assert capacity_tau_derivative(cap, tau, t) == pytest.approx(want, rel=1e-6)
+            assert tau_derivative(cap, tau, t) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("a", [0.0, 1000.0, -1000.0])
     def test_default_step_follows_the_interval(self, a):
-        # tau = a + 0.5, t = a + 1: -m'(0.5) = -(0.5 + 3 * 0.25) wherever a is
+        # the general route's integrand at tau = a + 0.5, t = a + 1, g = 1:
+        # m'(0.5) = 0.5 + 3 * 0.25 wherever a is, since its step follows
+        # the interval length t - a, not the position t
         d = Distortion.from_expression("t^2/2 + t^3", upper=2.0)
-        cap = distorted_capacity(d, upper=2.0)
-        got = capacity_tau_derivative(cap, a + 0.5, a + 1.0)
-        assert got == pytest.approx(-1.25, rel=1e-7)
-
-    def test_tau_beyond_t_rejected(self):
-        cap = distorted_capacity(Distortion.from_expression("t", upper=4.0))
-        with pytest.raises(ValueError):
-            capacity_tau_derivative(cap, 2.0, 1.0)
+        p = ChoquetProblem(a, parse("1"), distorted_capacity(d), np.array([a, a + 1.0]))
+        got = _general_integrand(p, a, a + 1.0)(np.array([0.5]))
+        assert got[0] == pytest.approx(1.25, rel=1e-7)
 
 
 class TestIntervalCapacity:
-    def test_scalar_evaluator_gets_wrapped(self):
-        calls = []
-
+    def test_scalar_only_evaluator_is_refused(self):
+        # one evaluation path: the array call fails whether or not a scalar
+        # call came first, and the scalar call gives the same either way
         def scalar_only(u, v):
             if np.ndim(u) > 0:
                 raise TypeError("scalars only")
-            calls.append((u, v))
             return float(v - u)
 
-        cap = IntervalCapacity(scalar_only)
-        out = cap.evaluate(np.array([0.0, 1.0]), np.array([2.0, 5.0]))
-        assert np.allclose(out, [2.0, 4.0])
-        assert calls  # went through the scalar path
+        for scalar_first in (True, False):
+            cap = IntervalCapacity(scalar_only)
+            if scalar_first:
+                assert cap.evaluate(0.0, 2.0) == 2.0
+            with pytest.raises(TypeError, match="scalars only"):
+                cap.evaluate(np.array([0.0, 1.0]), np.array([2.0, 5.0]))
+            assert cap.evaluate(0.0, 2.0) == 2.0
+
+    def test_wrong_shape_names_both_shapes(self):
+        cap = IntervalCapacity(lambda u, v: float(np.sum(v - u)))
+        with pytest.raises(TypeError, match=re.escape("shape () for intervals of shape (2,)")):
+            cap.evaluate(np.array([0.0, 1.0]), 2.0)
+
+    def test_is_frozen(self):
+        cap = IntervalCapacity(lambda u, v: v - u)
+        with pytest.raises(AttributeError):
+            cap.evaluator = None
 
     def test_shifted_capacity(self):
         cap = IntervalCapacity(lambda u, v: np.asarray(v) ** 2 - np.asarray(u) ** 2)

@@ -16,10 +16,9 @@ from choqint import (
     parse,
     render,
     shift_to_origin,
-    uniform_grid,
 )
 from choqint import capacity, choquet, quadrature
-from choqint.choquet import BISECTION_TOL, LEVEL_SET_BATCH
+from choqint.choquet import BISECTION_TOL, LEVEL_SET_BATCH, uniform_grid
 from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_monotone_problem
 
 
@@ -84,7 +83,7 @@ def full_bisection(g, a, alphas, ts):
 def flat_start_problem(general: bool) -> ChoquetProblem:
     # g = 0 on [0, 1], then 2(t - 1): t <= 1 leaves g(t) <= g(a)
     d = Distortion.from_expression("t + t^2", upper=3.0)
-    measure = distorted_capacity(d, upper=3.0) if general else d
+    measure = distorted_capacity(d) if general else d
     return ChoquetProblem(0.0, parse("abs(t - 1) + t - 1"), measure, np.array([0.0, 3.0]))
 
 
@@ -231,7 +230,7 @@ class TestGeneralRoute:
     def test_square_root_through_capacity(self):
         a = 1.0
         d = Distortion.from_expression("t^2/2", upper=2.0)
-        cap = distorted_capacity(d, upper=2.0)
+        cap = distorted_capacity(d)
         p = ChoquetProblem(a, parse("sqrt(t - 1)"), cap, np.array([a, 2.0]))
         assert choquet_general(p, 2.0) == pytest.approx(4.0 / 15.0, rel=1e-7)
 
@@ -329,7 +328,7 @@ class TestHereditary:
 
     def test_general_capacity_route(self):
         d = Distortion.from_expression("t + 0.5*t^2", upper=3.0)
-        cap = distorted_capacity(d, upper=3.0)
+        cap = distorted_capacity(d)
         p = ChoquetProblem(0.0, parse("t^2"), cap, np.array([0.0, 2.0]))
         result = check_hereditary(p, 0.75, 2.0)
         assert result.gap <= 1e-6 * (1.0 + abs(result.lhs))
@@ -340,7 +339,7 @@ class TestHereditary:
         p = sqrt_problem(1.0, [1.0, 3.0])
         if general:
             # a general capacity, so that the general route's integrand runs
-            p = ChoquetProblem(p.a, p.g, distorted_capacity(p.measure, upper=2.0), p.t_grid)
+            p = ChoquetProblem(p.a, p.g, distorted_capacity(p.measure), p.t_grid)
         expected = check_hereditary(p, 2.0, 3.0)
 
         def refuse(*args, **kwargs):

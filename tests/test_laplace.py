@@ -15,17 +15,15 @@ from choqint import (
     NotInFPlusError,
     OriginNotZeroError,
     Verdict,
-    forward_laplace,
     invert_laplace,
     parse,
     solve_problem1,
     solve_problem2,
     solve_problem3,
-    stehfest_weights,
     transform_of,
 )
 from choqint import laplace
-from choqint.laplace import _CubicSpline
+from choqint.laplace import _CubicSpline, forward_laplace, stehfest_weights
 from helpers import beta_integral, sqrt_forward_value
 
 QUADRATIC = "t^2/2"
