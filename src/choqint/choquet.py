@@ -28,7 +28,7 @@ from .capacity import (
     _tau_derivative_grid,
     require_f_plus,
 )
-from .errors import DivergentIntegralError, InvalidIntervalError
+from .errors import DivergentIntegralError, InvalidDistortionError, InvalidIntervalError
 from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
 from .quadrature import (
     DEFAULT_QUADRATURE,
@@ -41,7 +41,6 @@ from .quadrature import (
 __all__ = [
     "ChoquetProblem",
     "as_grid",
-    "uniform_grid",
     "choquet_level_set",
     "choquet_convolution",
     "choquet_general",
@@ -71,20 +70,14 @@ def as_grid(points) -> np.ndarray:
     return grid
 
 
-def uniform_grid(start: float, stop: float, points: int) -> np.ndarray:
-    if points < 2:
-        raise ValueError("grid needs at least 2 points")
-    if stop <= start:
-        raise ValueError("stop must exceed start")
-    return np.linspace(start, stop, points)
-
-
 @dataclass(frozen=True)
 class ChoquetProblem:
     """Interval origin, integrand, measure, and evaluation grid of one
-    Choquet integral equation.  Construction certifies the integrand; the
-    measure, a :class:`Distortion` or an :class:`IntervalCapacity`, is
-    trusted as it was built (a distortion is validated there)."""
+    Choquet integral equation; every route evaluates it on ``t_grid``.
+    Construction certifies the integrand on [a, t_grid[-1]]; the measure, a
+    :class:`Distortion` or an :class:`IntervalCapacity`, is trusted as it
+    was built (a distortion is validated there, and its window must cover
+    the longest interval, t_grid[-1] - a)."""
 
     a: float
     g: Expr
@@ -96,16 +89,13 @@ class ChoquetProblem:
         if grid[0] < self.a:
             raise ValueError("t_grid must start at or after a")
         object.__setattr__(self, "t_grid", grid)
+        span = float(grid[-1] - self.a)
+        if isinstance(self.measure, Distortion) and self.measure.upper < span:
+            raise InvalidDistortionError(
+                f"distortion validated on [0, {self.measure.upper!r}], shorter than "
+                f"the longest interval t - a = {span!r}"
+            )
         require_f_plus("g", self.g, self.a, grid[-1])
-
-
-def _check_t(problem: ChoquetProblem, t) -> None:
-    early = np.atleast_1d(t)
-    early = early[early < problem.a]
-    if early.size:
-        raise InvalidIntervalError(
-            f"t = {float(early[0])!r} precedes the origin a = {problem.a!r}"
-        )
 
 
 def _batched(fn, out: np.ndarray) -> np.ndarray:
@@ -184,22 +174,16 @@ def _alpha_integrals(problem: ChoquetProblem, ts: np.ndarray, g_a: float, g_ts: 
     )
 
 
-def choquet_level_set(problem: ChoquetProblem, t,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float | np.ndarray:
-    """Brute-force route straight from the superlevel-set definition, at a
-    scalar ``t`` (a float) or at every entry of a 1-d array ``t`` (an
-    ndarray).
+def choquet_level_set(problem: ChoquetProblem,
+                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+    """Brute-force route straight from the superlevel-set definition, at
+    every point of the problem's grid.
 
     The alpha-integrand mu([s_alpha, t]) bisects for s_alpha; s_alpha
     depends on alpha alone, so one bisection serves the nodes of every t.
     Each t keeps its own convergence test.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-d array")
-    ts = np.atleast_1d(t_arr)
-    _check_t(problem, ts)
-    a, g = problem.a, problem.g
+    a, g, ts = problem.a, problem.g, problem.t_grid
     g_a = float(evaluate(g, a))
     g_ts = _batched(lambda part: evaluate(g, ts[part]), np.empty(ts.size))
     values = g_a * _batched(lambda part: problem.measure.evaluate(a, ts[part]),
@@ -208,7 +192,7 @@ def choquet_level_set(problem: ChoquetProblem, t,
     open_ = (ts > a) & (g_ts > g_a)
     if np.any(open_):
         values[open_] += _alpha_integrals(problem, ts[open_], g_a, g_ts[open_], cfg)
-    return float(values[0]) if t_arr.ndim == 0 else values
+    return values
 
 
 def _convolution_integrand(problem: ChoquetProblem, a: float, t: float):
@@ -238,20 +222,28 @@ def _general_integrand(problem: ChoquetProblem, a: float, t: float):
     return integrand
 
 
-def choquet_convolution(problem: ChoquetProblem, t: float,
-                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Fast route for distorted Lebesgue measures: int_a^t m'(t-tau) g(tau) dtau."""
+def _integrate_on_grid(problem: ChoquetProblem, integrand_of,
+                       cfg: QuadratureConfig) -> np.ndarray:
+    """int_0^{t - a} integrand_of(problem, a, t) du at every t of the grid."""
+    a = problem.a
+    return np.array([integrate(integrand_of(problem, a, t), 0.0, t - a, cfg)
+                     for t in problem.t_grid.tolist()])
+
+
+def choquet_convolution(problem: ChoquetProblem,
+                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+    """Fast route for distorted Lebesgue measures, int_a^t m'(t-tau) g(tau)
+    dtau at every point of the problem's grid."""
     if not isinstance(problem.measure, Distortion):
         raise TypeError("convolution route requires a distorted Lebesgue measure")
-    _check_t(problem, t)
-    return integrate(_convolution_integrand(problem, problem.a, t), 0.0, t - problem.a, cfg)
+    return _integrate_on_grid(problem, _convolution_integrand, cfg)
 
 
-def choquet_general(problem: ChoquetProblem, t: float,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """General-capacity route: - int_a^t d/dtau mu([tau, t]) g(tau) dtau."""
-    _check_t(problem, t)
-    return integrate(_general_integrand(problem, problem.a, t), 0.0, t - problem.a, cfg)
+def choquet_general(problem: ChoquetProblem,
+                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+    """General-capacity route, - int_a^t d/dtau mu([tau, t]) g(tau) dtau at
+    every point of the problem's grid."""
+    return _integrate_on_grid(problem, _general_integrand, cfg)
 
 
 class HereditaryCheck(NamedTuple):
@@ -260,9 +252,10 @@ class HereditaryCheck(NamedTuple):
     gap: float
 
 
-def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
+def check_hereditary(problem: ChoquetProblem, a_split: float,
                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> HereditaryCheck:
-    """Verify that the integral over [a, t] decomposes at a_split.
+    """Verify that the integral over [a, t] decomposes at a_split, at the
+    end of the problem's grid, t = t_grid[-1].
 
     lhs is the Choquet integral over the whole of [a, t].  rhs adds the
     genuine Choquet integral of the same g over [a_split, t] to the
@@ -271,7 +264,7 @@ def check_hereditary(problem: ChoquetProblem, a_split: float, t: float,
     decomposition an identity; the two standalone integrals alone do not
     add up, because the measure is not additive).
     """
-    _check_t(problem, t)
+    t = float(problem.t_grid[-1])
     if not problem.a <= a_split <= t:
         raise InvalidIntervalError(
             f"split {a_split!r} must lie between a = {problem.a!r} and t = {t!r}"

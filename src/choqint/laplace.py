@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -177,15 +177,6 @@ class _CubicSpline:
         return self.k[i] + r * (2.0 * self.c2[i] + 3.0 * r * self.c3[i])
 
 
-TransformSource = Union[Expr, Callable[[np.ndarray], np.ndarray]]
-
-
-def _as_callable(h: TransformSource) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(h, Expr):
-        return lambda pts: np.asarray(evaluate(h, pts), dtype=float)
-    return lambda pts: np.asarray(h(pts), dtype=float)
-
-
 class _SampleStore:
     """The samples of one transformed function, shared by every ``s`` it
     serves.
@@ -199,8 +190,9 @@ class _SampleStore:
     depend on nothing else.
     """
 
-    def __init__(self, h: TransformSource):
-        self.fn = _as_callable(h)
+    def __init__(self, h: Callable[[np.ndarray], np.ndarray]):
+        # an Expr is callable too: Expr.__call__ is evaluate
+        self.fn = lambda pts: np.asarray(h(pts), dtype=float)
         self.ladder: list[float] = []
         self.passes: dict[tuple[float, int], np.ndarray] = {}
 
@@ -238,7 +230,7 @@ def _truncation_point(store: _SampleStore, s: float, target: float) -> float:
     )
 
 
-def forward_laplace(h: TransformSource, s: float, *,
+def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
                     _store: _SampleStore | None = None) -> float:
     """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail.
 
@@ -277,7 +269,7 @@ def forward_laplace(h: TransformSource, s: float, *,
     return transform_to(T_refined)
 
 
-def transform_of(h: TransformSource) -> Callable[[float], float]:
+def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
     """Memoized s -> L(h)(s), the working representation of a transform.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
@@ -404,6 +396,13 @@ def _segment_convolution(kernel, factor, span: float, knots: np.ndarray,
     return float(np.sum(halves * (vals @ w)))
 
 
+def _require_tolerances(**tolerances: float) -> None:
+    """Each solver tolerance must be finite and nonnegative (NaN is neither)."""
+    for name, value in tolerances.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
                    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
                    inversion: InversionConfig = DEFAULT_INVERSION,
@@ -413,6 +412,7 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     Residual is the worst relative gap against the direct convolution route;
     the verdict certifies that the computed f is itself admissible.
     """
+    _require_tolerances(residual_threshold=residual_threshold)
     problem = ChoquetProblem(a, g, d, t_grid)
     grid = problem.t_grid
     G = transform_of(_rebased(g, a))
@@ -426,10 +426,8 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     positive = offsets > 0.0
     values[positive] = _invert_on_grid(F, offsets[positive], inversion)
 
-    residual = 0.0
-    for i, t in enumerate(grid):
-        reference = choquet_convolution(problem, float(t), quadrature)
-        residual = max(residual, abs(values[i] - reference) / (1.0 + abs(reference)))
+    reference = choquet_convolution(problem, quadrature)
+    residual = float(np.max(np.abs(values - reference) / (1.0 + np.abs(reference))))
 
     cert = certify_samples(grid, values, _noise_slack(values))
     verdict = _solver_verdict(values, cert, residual, residual_threshold, DECISIVE_RATIO)
@@ -460,6 +458,8 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     otherwise they are g, extrapolated linearly to u = 0 from the first two
     ladder samples, against the kernel m'.
     """
+    _require_tolerances(residual_threshold=residual_threshold,
+                        decisive_ratio=decisive_ratio, monotone_slack=monotone_slack)
     f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
         raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")

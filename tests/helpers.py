@@ -27,9 +27,10 @@ def sqrt_problem(a: float, t_grid) -> ChoquetProblem:
     return ChoquetProblem(a, g, d, grid)
 
 
-def random_monotone_problem(rng: np.random.Generator):
-    """A random admissible problem: monotone polynomial-plus-sqrt integrand,
-    quadratic/cubic distortion, origin in [-5, 5], span up to 10."""
+def random_monotone_problem(rng: np.random.Generator) -> ChoquetProblem:
+    """A random admissible problem on the grid [a, t]: monotone
+    polynomial-plus-sqrt integrand, quadratic/cubic distortion, origin a in
+    [-5, 5], span t - a up to 10."""
     a = float(rng.uniform(-5.0, 5.0))
     span = float(rng.uniform(0.5, 10.0))
     c = [float(x) for x in rng.uniform(0.0, 2.0, size=5)]
@@ -40,5 +41,4 @@ def random_monotone_problem(rng: np.random.Generator):
     m_src = f"{d_coef[0]!r}*t + {d_coef[1]!r}*t^2 + {d_coef[2]!r}*t^3"
     t = a + span
     d = Distortion.from_expression(m_src, upper=span + 1.0)
-    problem = ChoquetProblem(a, parse(g_src), d, np.array([a, t]))
-    return problem, t
+    return ChoquetProblem(a, parse(g_src), d, np.array([a, t]))

@@ -186,9 +186,9 @@ def test_level_set_route_runs_once_for_the_whole_grid(argv, monkeypatch, capsys)
 
     grids = []
 
-    def spy(problem, t, *args, **kwargs):
-        grids.append(np.array(t, dtype=float))
-        return choquet_level_set(problem, t, *args, **kwargs)
+    def spy(problem, *args, **kwargs):
+        grids.append(problem.t_grid)
+        return choquet_level_set(problem, *args, **kwargs)
 
     monkeypatch.setattr(cli, "choquet_level_set", spy)
     assert cli.main(argv) == 0

@@ -327,6 +327,33 @@ class TestProblem3:
         assert np.allclose(report.values, 0.0, atol=1e-12)
 
 
+class TestSolverTolerances:
+    """A negative, infinite or NaN tolerance is refused before any transform
+    is taken; it would otherwise decide a verdict (a negative decisive ratio
+    makes every recovery DoesNotExistInFPlus) or fail every test."""
+
+    CASES = [("problem1", "residual_threshold")] + [
+        (solver, name) for solver in ("problem2", "problem3")
+        for name in ("residual_threshold", "decisive_ratio", "monotone_slack")
+    ]
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("solver,name", CASES)
+    def test_rejected(self, solver, name, value, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform was taken")
+
+        monkeypatch.setattr(laplace, "forward_laplace", refuse)
+        f, g, grid = parse("pow(t - 1, 3.5)"), parse("sqrt(t - 1)"), np.linspace(1.2, 3.0, 5)
+        solve = {
+            "problem1": lambda **kw: solve_problem1(g, quad_distortion(), 1.0, grid, **kw),
+            "problem2": lambda **kw: solve_problem2(f, quad_distortion(), 1.0, grid, **kw),
+            "problem3": lambda **kw: solve_problem3(f, g, 1.0, grid, **kw),
+        }[solver]
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            solve(**{name: value})
+
+
 class TestVerificationWork:
     """A solve inverts its report points once and a ladder of five offsets in
     the leading gap again; the verification spline needs nothing else."""

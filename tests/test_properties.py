@@ -177,8 +177,8 @@ def test_positive_homogeneity_of_the_integral(scale, seed):
     d = Distortion.from_expression("t^2/2 + 0.3*t", upper=t - a + 1.0)
     base = ChoquetProblem(a, parse(g_src), d, np.array([a, t]))
     scaled = ChoquetProblem(a, parse(f"({scale!r})*({g_src})"), d, np.array([a, t]))
-    v_base = choquet_convolution(base, t)
-    v_scaled = choquet_convolution(scaled, t)
+    v_base = choquet_convolution(base)[-1]
+    v_scaled = choquet_convolution(scaled)[-1]
     assert v_scaled == pytest.approx(scale * v_base, rel=1e-9, abs=1e-12)
 
 
