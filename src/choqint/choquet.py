@@ -33,7 +33,6 @@ from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    _gauss_nodes,
     _pass_nodes,
     integrate,
 )
@@ -89,20 +88,28 @@ class ChoquetProblem:
         if grid[0] < self.a:
             raise ValueError("t_grid must start at or after a")
         object.__setattr__(self, "t_grid", grid)
-        span = float(grid[-1] - self.a)
-        if isinstance(self.measure, Distortion) and self.measure.upper < span:
-            raise InvalidDistortionError(
-                f"distortion validated on [0, {self.measure.upper!r}], shorter than "
-                f"the longest interval t - a = {span!r}"
-            )
+        if isinstance(self.measure, Distortion):
+            _require_window(self.measure, float(grid[-1] - self.a))
         require_f_plus("g", self.g, self.a, grid[-1])
 
 
-def _batched(fn, out: np.ndarray) -> np.ndarray:
-    """out[part] = fn(part) for consecutive slices ``part`` of at most
-    LEVEL_SET_BATCH entries."""
-    for start in range(0, out.size, LEVEL_SET_BATCH):
-        part = slice(start, start + LEVEL_SET_BATCH)
+def _require_window(d: Distortion, span: float) -> None:
+    """The validation window [0, d.upper] must cover the longest interval
+    length ``span`` that the distortion is asked about."""
+    if d.upper < span:
+        raise InvalidDistortionError(
+            f"distortion validated on [0, {d.upper!r}], shorter than "
+            f"the longest interval t - a = {span!r}"
+        )
+
+
+def _batched(fn, out: np.ndarray, cost: int = 1) -> np.ndarray:
+    """out[part] = fn(part) for consecutive slices ``part`` of ``out``, each
+    of at most LEVEL_SET_BATCH nodes, where an entry costs ``cost`` nodes
+    (an entry that costs more than LEVEL_SET_BATCH goes alone)."""
+    step = max(1, LEVEL_SET_BATCH // cost)
+    for start in range(0, out.size, step):
+        part = slice(start, start + step)
         out[part] = fn(part)
     return out
 
@@ -138,12 +145,11 @@ def _alpha_integrals(problem: ChoquetProblem, ts: np.ndarray, g_a: float, g_ts: 
     alpha nodes of one refinement level of every unconverged point are
     bisected together, LEVEL_SET_BATCH nodes at a time."""
     a, g, mu = problem.a, problem.g, problem.measure
-    _, weights = _gauss_nodes(cfg.nodes_per_subinterval)
 
     def quadrature_pass(points: np.ndarray, cells: int) -> np.ndarray:
         passes = [_pass_nodes(g_a, float(g_ts[i]), cells, cfg.endpoint_grading,
                               cfg.nodes_per_subinterval) for i in points]
-        alphas = np.concatenate([nodes.ravel() for nodes, _ in passes])
+        alphas = np.concatenate([nodes for nodes, _ in passes])
         owners, per_point = ts[points], passes[0][0].size
 
         def level_measure(part: slice) -> np.ndarray:
@@ -152,9 +158,9 @@ def _alpha_integrals(problem: ChoquetProblem, ts: np.ndarray, g_a: float, g_ts: 
             return mu.evaluate(_level_points(g, a, nodes, t_nodes), t_nodes)
 
         # each batch's mu([s_alpha, t]) overwrites the alpha nodes it came from
-        levels = _batched(level_measure, alphas).reshape(len(passes), *passes[0][0].shape)
-        return np.array([float((halves * (values @ weights)).sum())
-                         for (_, halves), values in zip(passes, levels)])
+        levels = _batched(level_measure, alphas).reshape(len(passes), per_point)
+        return np.array([float(values @ weights)
+                         for (_, weights), values in zip(passes, levels)])
 
     cells = cfg.subintervals
     pending = np.arange(ts.size)

@@ -33,7 +33,14 @@ from .capacity import (
     certify_samples,
     require_f_plus,
 )
-from .choquet import ChoquetProblem, _rebased, as_grid, choquet_convolution
+from .choquet import (
+    ChoquetProblem,
+    _batched,
+    _rebased,
+    _require_window,
+    as_grid,
+    choquet_convolution,
+)
 from .errors import (
     DivergentIntegralError,
     DomainError,
@@ -215,15 +222,19 @@ class _SampleStore:
         return self.passes[key]
 
 
-def _truncation_point(store: _SampleStore, s: float, target: float) -> float:
-    """Smallest power-of-two T with exp(-sT) (1+|h(T)|) (1+1/s) <= target."""
+def _truncation_exponent(store: _SampleStore, s: float, target: float,
+                         start: int = 0) -> int:
+    """Smallest k >= ``start`` whose T = 2^k satisfies
+    exp(-sT) (1+|h(T)|) (1+1/s) <= target.
+
+    A search for a tighter target may resume at the window of a looser
+    one: every rung below it failed the looser target, so it fails the
+    tighter one too, and the window found is the same."""
     log_target = math.log(target)
     log_factor = math.log1p(1.0 / s)
-    T = 1.0
-    for k in range(120):
-        if -s * T + store.rung(k) + log_factor <= log_target:
-            return T
-        T *= 2.0
+    for k in range(start, 120):
+        if -s * 2.0 ** k + store.rung(k) + log_factor <= log_target:
+            return k
     raise DivergentIntegralError(
         "no truncation window: the function outgrows exp(-s t) "
         f"at s = {s!r}"
@@ -253,20 +264,23 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
 
     def transform_to(T: float) -> float:
         def integrand(points: np.ndarray) -> np.ndarray:
-            return np.exp(-s * points) * store.values(T, points)
+            out = np.multiply(points, -s)
+            np.exp(out, out=out)
+            out *= store.values(T, points)
+            return out
 
         return integrate(integrand, 0.0, T, TRANSFORM_QUADRATURE,
                          absolute_floor=0.0, strict=False)
 
-    T = _truncation_point(store, s, TAIL_BOUND)
-    first = transform_to(T)
+    k = _truncation_exponent(store, s, TAIL_BOUND)
+    first = transform_to(2.0 ** k)
     if first == 0.0:
         return first
     target = min(TAIL_BOUND, 1e-14 * abs(first))
-    T_refined = _truncation_point(store, s, target)
-    if T_refined <= T:
+    k_refined = _truncation_exponent(store, s, target, start=k)
+    if k_refined == k:
         return first
-    return transform_to(T_refined)
+    return transform_to(2.0 ** k_refined)
 
 
 def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
@@ -379,21 +393,34 @@ def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: flo
     return Verdict.INCONCLUSIVE
 
 
-def _segment_convolution(kernel, factor, span: float, knots: np.ndarray,
-                         nodes: int = 16) -> float:
-    """int_0^span kernel(w) factor(span - w) dw, where ``factor`` is only
-    piecewise smooth with the given knots (offsets in [0, span]):
-    Gauss-Legendre cellwise, never across a knot."""
-    if span <= 0.0:
-        return 0.0
-    cuts = np.unique(np.concatenate(([0.0, span], span - np.clip(knots, 0.0, span))))
+def _convolutions(kernel, factor, spans: np.ndarray, knots: np.ndarray,
+                  nodes: int) -> np.ndarray:
+    """int_0^u kernel(w) factor(u - w) dw at every offset u of ``spans``,
+    where ``factor`` is only piecewise smooth with the given knots (offsets
+    in [0, u]): Gauss-Legendre cellwise, never across a knot.  The cells of
+    u are cut at 0, u and u - k for the knots k, and the nodes of every
+    span go through ``kernel`` and ``factor`` together, LEVEL_SET_BATCH
+    nodes at a time."""
     x, w = _gauss_nodes(nodes)
-    mids = 0.5 * (cuts[1:] + cuts[:-1])
-    halves = 0.5 * (cuts[1:] - cuts[:-1])
-    ws = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    vals = (np.asarray(kernel(ws), dtype=float)
-            * np.asarray(factor(span - ws), dtype=float)).reshape(mids.size, -1)
-    return float(np.sum(halves * (vals @ w)))
+
+    def convolve(part: slice) -> np.ndarray:
+        us = spans[part][:, None]
+        cuts = np.sort(np.concatenate(
+            (np.zeros_like(us), us, us - np.clip(knots, 0.0, us)), axis=1), axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        # equal cuts leave empty cells: skipping them keeps nodes off the
+        # cuts, where a kernel singular at w = 0 would give 0 * inf
+        cells = hi > lo
+        mids, halves = 0.5 * (hi + lo)[cells], 0.5 * (hi - lo)[cells]
+        owners = np.repeat(np.nonzero(cells)[0], nodes)
+        ws = (mids[:, None] + halves[:, None] * x).ravel()
+        terms = (np.asarray(kernel(ws), dtype=float)
+                 * np.asarray(factor(us[owners, 0] - ws), dtype=float)
+                 * (halves[:, None] * w).ravel())
+        return np.bincount(owners, weights=terms, minlength=us.shape[0])
+
+    # a span has at most one cell more than there are knots
+    return _batched(convolve, np.empty(spans.size), cost=(knots.size + 1) * nodes)
 
 
 def _require_tolerances(**tolerances: float) -> None:
@@ -449,7 +476,8 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     u_0 {1/16, 1/8, 1/4, 1/2, 3/4} in the leading gap (u_0 the first kept
     offset) and the kept report offsets: the report values are reused and
     only the five ladder offsets are inverted again.  The spline is
-    convolved against ``kernel``; f must be reproduced within
+    convolved against ``kernel`` at every kept offset in one batched pass
+    (see ``_convolutions``); f must be reproduced within
     ``residual_threshold`` for the verdict Exists.  The spline's error is
     fourth order, so the residual follows the error of the recovery rather
     than the interpolant's.  With ``recovers_m`` the samples are a
@@ -495,12 +523,10 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     spline = _CubicSpline(knots_u, np.concatenate(([at_zero], ladder_v, kept_values)))
     # identify convolves the step density of m against g, derive g against m'
     recovered = spline.derivative if recovers_m else spline
-    residual = 0.0
-    for t, u in zip(grid[kept], kept_u):
-        reproduced = _segment_convolution(kernel, recovered, float(u), knots_u,
-                                          nodes=quadrature.nodes_per_subinterval)
-        target = evaluate(f, float(t))
-        residual = max(residual, abs(reproduced - target) / (1.0 + abs(target)))
+    reproduced = _convolutions(kernel, recovered, kept_u, knots_u,
+                               quadrature.nodes_per_subinterval)
+    target = evaluate(f, grid[kept])
+    residual = float(np.max(np.abs(reproduced - target) / (1.0 + np.abs(target))))
 
     verdict = _solver_verdict(kept_values, cert, residual, residual_threshold,
                               decisive_ratio, strictly_increasing=recovers_m)
@@ -519,8 +545,11 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
     certified for admissibility (slack at least ``monotone_slack``) and fed
     back, as a cubic spline, through the forward convolution against m';
     f must be reproduced within ``residual_threshold`` for the verdict
-    Exists.
+    Exists.  The distortion's window [0, d.upper] must cover the longest
+    interval, t_grid[-1] - a, or :class:`InvalidDistortionError` is raised
+    before any transform is taken.
     """
+    _require_window(d, float(as_grid(t_grid)[-1]) - a)
     M = transform_of(d.m)
     return _solve_inverse(
         f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,

@@ -70,18 +70,20 @@ def graded_mesh(a: float, b: float, n: int, grading: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _pass_nodes(a: float, b: float, cells: int, grading: float,
                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes (cells x nodes) and cell half-widths of one pass."""
+    """Read-only flat nodes of one pass, cell by cell, and their folded
+    weights (cell half-width times Gauss weight): the pass is one dot."""
     mesh = graded_mesh(a, b, cells, grading)
-    x, _ = _gauss_nodes(nodes)
+    x, w = _gauss_nodes(nodes)
     mids = 0.5 * (mesh[1:] + mesh[:-1])
     halves = 0.5 * (mesh[1:] - mesh[:-1])
-    points = mids[:, None] + halves[:, None] * x[None, :]
+    points = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     # rounding in tiny graded cells can push a node an ulp past an endpoint,
     # which matters for integrands defined only inside [a, b]
     np.clip(points, min(a, b), max(a, b), out=points)
+    weights = (halves[:, None] * w[None, :]).ravel()
     points.flags.writeable = False
-    halves.flags.writeable = False
-    return points, halves
+    weights.flags.writeable = False
+    return points, weights
 
 
 def composite_gauss_legendre(
@@ -93,11 +95,9 @@ def composite_gauss_legendre(
 ) -> float:
     """One pass on a mesh of ``subintervals`` cells; ``fn`` must map an
     ndarray of points to values."""
-    points, halves = _pass_nodes(a, b, subintervals, cfg.endpoint_grading,
-                                 cfg.nodes_per_subinterval)
-    _, w = _gauss_nodes(cfg.nodes_per_subinterval)
-    values = np.asarray(fn(points.ravel()), dtype=float).reshape(points.shape)
-    return float((halves * (values @ w)).sum())
+    points, weights = _pass_nodes(a, b, subintervals, cfg.endpoint_grading,
+                                  cfg.nodes_per_subinterval)
+    return float(np.asarray(fn(points), dtype=float) @ weights)
 
 
 def integrate(

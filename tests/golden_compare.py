@@ -206,6 +206,50 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _judged_leaves(argv, golden_text: str, fresh_text: str):
+    """(golden leaf, problems of the fresh leaf) for every leaf of two
+    reports whose structure outside the numbers agrees, in document order."""
+    args = _judging_args(argv)
+    golden = parse_report(golden_text, args.format)
+    fresh = parse_report(fresh_text, args.format)
+    rows = golden["results"]
+    bounds = value_bounds(args, golden)
+
+    def near(path, g, f, bound):
+        if abs(f - g) > bound + print_unit(g, f):
+            return [f"{path}: {f!r} vs golden {g!r}, allowed drift {bound:.3g}"]
+        return []
+
+    def at_or_below(path, f, tol):
+        if f > tol + print_unit(f):
+            return [f"{path}: {f!r} above its tolerance {tol:.3g}"]
+        return []
+
+    # equal masks give both reports the same leaves in the same order
+    for (path, g), (_, f) in zip(_leaves(golden), _leaves(fresh)):
+        key = path[-1]
+        if path[0] == "inputs" or not _is_number(g):
+            problems = [f"{path}: {f!r} != golden {g!r}"] if g != f else []
+        elif key == "value":
+            problems = near(path, g, f, bounds[path[1]])
+        elif key == "oracle_value":
+            problems = near(path, g, f, args.refinement_tol * abs(g))
+        elif key == "max_violation":
+            problems = near(path, g, f, 2.0 * float(bounds.max()))
+        elif key == "residual":
+            problems = near(path, g, f, residual_bound(args, golden))
+            if (f <= args.residual_tol) != (g <= args.residual_tol):
+                problems.append(f"{path}: {f!r} judged otherwise than golden {g!r} "
+                                f"against residual_tol {args.residual_tol!r}")
+        elif key == "gap":
+            problems = at_or_below(path, f, args.route_tol * (1.0 + abs(rows[path[1]]["value"])))
+        elif key in GAP_TOLERANCES:
+            problems = at_or_below(path, f, getattr(args, GAP_TOLERANCES[key]))
+        else:
+            problems = [f"{path}: {f!r} != golden {g!r}"] if g != f else []
+        yield g, problems
+
+
 def report_mismatches(argv, golden_text: str, fresh_text: str) -> list[str]:
     """Every way ``fresh_text`` fails to match ``golden_text``; empty if it
     matches."""
@@ -214,46 +258,32 @@ def report_mismatches(argv, golden_text: str, fresh_text: str) -> list[str]:
         diff = difflib.unified_diff(golden_mask.splitlines(), fresh_mask.splitlines(),
                                     "golden", "fresh", lineterm="")
         return ["structure differs outside the numbers:", *diff]
-    args = _judging_args(argv)
-    golden = parse_report(golden_text, args.format)
-    fresh = parse_report(fresh_text, args.format)
-    rows = golden["results"]
-    bounds = value_bounds(args, golden)
+    return [problem for _, problems in _judged_leaves(argv, golden_text, fresh_text)
+            for problem in problems]
 
-    problems = []
 
-    def near(path, g, f, bound):
-        if abs(f - g) > bound + print_unit(g, f):
-            problems.append(f"{path}: {f!r} vs golden {g!r}, allowed drift {bound:.3g}")
+def keep_accepted_numbers(argv, golden_text: str, fresh_text: str) -> str:
+    """``fresh_text`` with every number that the comparator accepts put back
+    to the golden's digits, so only numbers that moved beyond their bound
+    change.  A report whose structure outside the numbers differs is
+    returned as it is."""
+    if mask_numbers(fresh_text) != mask_numbers(golden_text):
+        return fresh_text
+    accepted = [not problems for g, problems in _judged_leaves(argv, golden_text, fresh_text)
+                if _is_number(g)]
+    old = [m.group(0) for m in _TOKEN.finditer(golden_text) if not m.group(0).startswith('"')]
+    if len(old) != len(accepted):
+        raise ValueError(f"{len(old)} numbers in the text, {len(accepted)} in the report")
+    kept = iter(zip(old, accepted))
 
-    def at_or_below(path, f, tol):
-        if f > tol + print_unit(f):
-            problems.append(f"{path}: {f!r} above its tolerance {tol:.3g}")
+    def pick(match):
+        token = match.group(0)
+        if token.startswith('"'):
+            return token
+        golden_token, ok = next(kept)
+        return golden_token if ok else token
 
-    # equal masks give both reports the same leaves in the same order
-    for (path, g), (_, f) in zip(_leaves(golden), _leaves(fresh)):
-        key = path[-1]
-        if path[0] == "inputs" or not _is_number(g):
-            if g != f:
-                problems.append(f"{path}: {f!r} != golden {g!r}")
-        elif key == "value":
-            near(path, g, f, bounds[path[1]])
-        elif key == "oracle_value":
-            near(path, g, f, args.refinement_tol * abs(g))
-        elif key == "max_violation":
-            near(path, g, f, 2.0 * float(bounds.max()))
-        elif key == "residual":
-            near(path, g, f, residual_bound(args, golden))
-            if (f <= args.residual_tol) != (g <= args.residual_tol):
-                problems.append(f"{path}: {f!r} judged otherwise than golden {g!r} "
-                                f"against residual_tol {args.residual_tol!r}")
-        elif key == "gap":
-            at_or_below(path, f, args.route_tol * (1.0 + abs(rows[path[1]]["value"])))
-        elif key in GAP_TOLERANCES:
-            at_or_below(path, f, getattr(args, GAP_TOLERANCES[key]))
-        elif g != f:
-            problems.append(f"{path}: {f!r} != golden {g!r}")
-    return problems
+    return _TOKEN.sub(pick, fresh_text)
 
 
 def assert_run_matches_golden(name: str, argv, expected_exit: int, proc) -> None:

@@ -1,11 +1,21 @@
-"""The golden comparator must still reject real changes to a report."""
+"""The golden comparator must still reject real changes to a report, and
+regenerating a golden must keep every number the comparator accepts."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from choqint.cli import main
 from choqint.report import to_json
-from golden_compare import parse_args, report_mismatches, residual_bound, value_bounds
+from golden_compare import (
+    keep_accepted_numbers,
+    parse_args,
+    report_mismatches,
+    residual_bound,
+    value_bounds,
+)
 from golden_manifest import GOLDEN, GOLDEN_RUNS
 
 ARGV = {name: argv for name, argv, _ in GOLDEN_RUNS}
@@ -103,3 +113,38 @@ def test_comparator_judges_residual_against_tolerance(name):
     perturbed = _json_edit(_residual_across_tolerance)(golden, parse_args(argv))
     problems = report_mismatches(argv, golden, perturbed)
     assert any("judged otherwise" in problem for problem in problems)
+
+
+@pytest.mark.parametrize("name,argv,expected_exit", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
+def test_regenerating_an_unchanged_run_keeps_the_file(name, argv, expected_exit):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == expected_exit
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    assert keep_accepted_numbers(argv, golden, out.getvalue()) == golden
+
+
+def _move_inverted_value_within_bound(data, args):
+    data["results"][4]["value"] += 0.5 * value_bounds(args, data)[4]
+    return data
+
+
+def test_regeneration_takes_only_the_numbers_that_moved_beyond_their_bound():
+    argv = ARGV["derive_power35.json"]
+    golden = (GOLDEN / "derive_power35.json").read_text(encoding="utf-8")
+    within = _json_edit(_move_inverted_value_within_bound)(golden, parse_args(argv))
+    assert within != golden
+    assert keep_accepted_numbers(argv, golden, within) == golden
+    # a residual moved 10x its bound is taken; the value moved within its
+    # bound beside it is not
+    beyond = _json_edit(_move_residual)(within, parse_args(argv))
+    merged = keep_accepted_numbers(argv, golden, beyond)
+    assert json.loads(merged)["residual"] == json.loads(beyond)["residual"]
+    assert json.loads(merged)["results"] == json.loads(golden)["results"]
+
+
+def test_regeneration_takes_a_new_structure_whole():
+    argv = ARGV["derive_power35.json"]
+    golden = (GOLDEN / "derive_power35.json").read_text(encoding="utf-8")
+    reordered = _json_edit(_reorder_certificate)(golden, parse_args(argv))
+    assert keep_accepted_numbers(argv, golden, reordered) == reordered

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqint import (
     Distortion,
     DivergentIntegralError,
     DomainError,
     GVanishesError,
+    InvalidDistortionError,
     InversionConfig,
     NonPositiveSError,
     NotInFPlusError,
@@ -22,8 +25,17 @@ from choqint import (
     solve_problem3,
     transform_of,
 )
-from choqint import laplace
-from choqint.laplace import _CubicSpline, forward_laplace, stehfest_weights
+from choqint import choquet, laplace
+from choqint.choquet import _rebased
+from choqint.laplace import (
+    TAIL_BOUND,
+    _CubicSpline,
+    _SampleStore,
+    _truncation_exponent,
+    forward_laplace,
+    stehfest_weights,
+)
+from choqint.quadrature import _gauss_nodes
 from helpers import beta_integral, sqrt_forward_value
 
 QUADRATIC = "t^2/2"
@@ -166,6 +178,70 @@ class TestSharedSamples:
         assert len(alone_calls) > 5 * len(calls)
 
 
+#: functions for the truncation search: polynomially bounded; overflowing
+#: to an infinite penalty from the rung t = 1024 on (no window below s ~ 1.05);
+#: overflowing at the one rung t = 8 only; defined only on [0, 40]
+TRUNCATED = {
+    "power": parse("sqrt(t) + t^3"),
+    "overflow": parse("exp(t)"),
+    "hole": lambda t: np.where(t == 8.0, np.inf, t),
+    "window": parse("sqrt(40 - t)"),
+}
+
+
+def search_outcome(search):
+    """The window exponent a search returns, or the error it raises."""
+    try:
+        return search()
+    except (DivergentIntegralError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTruncationSearch:
+    """forward_laplace resumes its refined search at the first window; every
+    rung below failed the looser bound, so the window found is the same."""
+
+    @given(name=st.sampled_from(sorted(TRUNCATED)),
+           s=st.floats(min_value=0.02, max_value=60.0),
+           tighter=st.floats(min_value=0.0, max_value=30.0))
+    @settings(max_examples=200, deadline=None)
+    def test_resumed_search_finds_the_window_of_a_fresh_one(self, name, s, tighter):
+        h, target = TRUNCATED[name], TAIL_BOUND * 10.0 ** -tighter
+        fresh = _SampleStore(h)
+        from_zero = search_outcome(lambda: _truncation_exponent(fresh, s, target))
+        store = _SampleStore(h)
+        first = search_outcome(lambda: _truncation_exponent(store, s, TAIL_BOUND))
+        if isinstance(first, int):
+            resumed = search_outcome(
+                lambda: _truncation_exponent(store, s, target, start=first))
+            assert resumed == from_zero
+        else:
+            # a tighter target searches at least as far, so it fails alike
+            assert first == from_zero
+        # the same rungs were sampled: a DomainError came at the same rung
+        assert store.ladder == fresh.ladder
+
+    def test_the_cases_reach_their_features(self):
+        # exp(t) at s = 1.1 has a window at 2^9; a tighter target reaches
+        # the rung 2^10, where exp overflows, and finds none
+        store = _SampleStore(TRUNCATED["overflow"])
+        k = _truncation_exponent(store, 1.1, TAIL_BOUND)
+        with pytest.raises(DivergentIntegralError):
+            _truncation_exponent(store, 1.1, 1e-30, start=k)
+        assert (k, store.ladder[10]) == (9, math.inf)
+        # at s = 5 the search steps over the infinite rung 2^3 to 2^4
+        store = _SampleStore(TRUNCATED["hole"])
+        assert _truncation_exponent(store, 5.0, TAIL_BOUND) == 4
+        assert store.ladder[3] == math.inf
+        # sqrt(40 - t) at s = 1 has a window at 2^5; a tighter target
+        # leaves the function's window at the rung 2^6
+        store = _SampleStore(TRUNCATED["window"])
+        k = _truncation_exponent(store, 1.0, TAIL_BOUND)
+        with pytest.raises(DomainError, match=re.escape("at t = 64.0")):
+            _truncation_exponent(store, 1.0, 1e-30, start=k)
+        assert k == 5
+
+
 class TestInvertLaplace:
     def test_inverse_of_linear(self):
         # intrinsic n=16 floor is ~4.5e-8 relative; see the notes on the
@@ -255,6 +331,17 @@ class TestProblem2:
         with pytest.raises(NotInFPlusError):
             solve_problem2(parse("t*(2 - t)"), quad_distortion(), 0.0,
                            np.linspace(0.2, 3.0, 4))
+
+    def test_distortion_window_must_cover_the_grid(self, monkeypatch):
+        # m = t*(2 - t) is a distortion on [0, 1] only; the grid asks it
+        # about intervals up to 2.8 long
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform was taken")
+
+        monkeypatch.setattr(laplace, "forward_laplace", refuse)
+        d = Distortion.from_expression("t*(2-t)", upper=1.0)
+        with pytest.raises(InvalidDistortionError, match=r"\[0, 1\.0\], shorter than"):
+            solve_problem2(parse("t^2"), d, 0.0, np.linspace(0.2, 3, 8))
 
     def test_grid_starting_at_a_is_nudged(self):
         grid = np.linspace(1.0, 3.0, 11)
@@ -378,6 +465,69 @@ class TestVerificationWork:
             report = solve_problem3(parse(f), parse(g), 1.0, grid)
         assert report.verdict is not Verdict.INCONCLUSIVE
         assert len(calls) == grid.size + 5
+
+
+def segment_convolution(kernel, factor, span, knots, nodes=16):
+    """Oracle for laplace._convolutions, one span at a time: int_0^span
+    kernel(w) factor(span - w) dw, Gauss-Legendre cellwise, never across a
+    knot of ``factor``."""
+    if span <= 0.0:
+        return 0.0
+    cuts = np.unique(np.concatenate(([0.0, span], span - np.clip(knots, 0.0, span))))
+    x, w = _gauss_nodes(nodes)
+    mids = 0.5 * (cuts[1:] + cuts[:-1])
+    halves = 0.5 * (cuts[1:] - cuts[:-1])
+    ws = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    vals = (np.asarray(kernel(ws), dtype=float)
+            * np.asarray(factor(span - ws), dtype=float)).reshape(mids.size, -1)
+    return float(np.sum(halves * (vals @ w)))
+
+
+def verification_case(kind):
+    """Kernel, spline factor, spans and knots of the residual check of a
+    50-point solve, as ``_solve_inverse`` builds them: derive convolves the
+    spline of g against m' (singular at 0 for this concave m), identify the
+    spline's derivative against g_a."""
+    spans = np.linspace(0.1, 2.9, 50)
+    ladder = spans[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
+    knots = np.concatenate(([0.0], ladder, spans))
+    if kind == "derive":
+        spline = _CubicSpline(knots, knots ** 1.5)
+        return Distortion.from_expression("t^0.7", upper=3.0).density, spline, spans, knots
+    spline = _CubicSpline(knots, knots ** 2.5)
+    return _rebased(parse("sqrt(t - 1)"), 1.0), spline.derivative, spans, knots
+
+
+class TestVerificationConvolution:
+    """The residual check convolves every kept offset in one batched pass;
+    it must agree with the per-span oracle it replaced."""
+
+    @pytest.mark.parametrize("kind", ["derive", "identify"])
+    def test_matches_the_per_span_oracle(self, kind):
+        kernel, factor, spans, knots = verification_case(kind)
+        got = laplace._convolutions(kernel, factor, spans, knots, 16)
+        want = [segment_convolution(kernel, factor, u, knots) for u in spans]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["derive", "identify"])
+    def test_batches_straddling_the_cap_agree_with_one_batch(self, kind, monkeypatch):
+        kernel, factor, spans, knots = verification_case(kind)
+        sizes = []
+
+        def spied(w):
+            sizes.append(np.size(w))
+            return kernel(w)
+
+        # 56 knots cap a span at 57 cells of 16 nodes, so a cap of 2000
+        # nodes takes two spans a batch
+        monkeypatch.setattr(choquet, "LEVEL_SET_BATCH", 2000)
+        batched = laplace._convolutions(spied, factor, spans, knots, 16)
+        assert len(sizes) == 25 and max(sizes) <= 2000
+        monkeypatch.setattr(choquet, "LEVEL_SET_BATCH", 10 ** 9)
+        sizes.clear()
+        whole = laplace._convolutions(spied, factor, spans, knots, 16)
+        assert len(sizes) == 1
+        np.testing.assert_allclose(batched, whole, rtol=1e-15, atol=0.0)
 
 
 class TestCubicSpline:
