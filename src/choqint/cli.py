@@ -13,12 +13,12 @@ route tolerances: --route-tol --hereditary-tol --shift-tol
 
 Every subcommand also takes --a A and --t START:STOP:POINTS, and echoes its
 inputs and settings, no others, in the report.  A flag another subcommand
-reads is a usage error, as is a negative, infinite or NaN tolerance.  Reports
-go to stdout or ``--output`` as CSV (default) or JSON; timing and diagnostics
-go to stderr.  Exit codes: 0 success, 2 expression or usage error, 3
-inadmissible input (not nonnegative/nondecreasing, bad distortion, f(a) !=
-0), 4 numerical failure, 5 derive found no admissible derivative, 6
-verification gap above threshold.
+reads is a usage error, as is a non-finite A, START or STOP and a negative,
+infinite or NaN tolerance.  Reports go to stdout or ``--output`` as CSV
+(default) or JSON; timing and diagnostics go to stderr.  Exit codes: 0
+success, 2 expression or usage error, 3 inadmissible input (not
+nonnegative/nondecreasing, bad distortion, f(a) != 0), 4 numerical failure,
+5 derive found no admissible derivative, 6 verification gap above threshold.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _t_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:STOP:POINTS")
     try:
-        start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, points = finite(parts[0]), finite(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if points < 2:
@@ -86,10 +86,16 @@ def _t_range(text: str) -> tuple[float, float, int]:
     return start, stop, points
 
 
+def finite(text: str) -> float:
+    """A finite number; argparse names this type in its error."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def tolerance(text: str) -> float:
     """A finite nonnegative number; argparse names this type in its error."""
-    value = float(text)
-    if not 0.0 <= value < np.inf:
+    if (value := finite(text)) < 0.0:
         raise ValueError(text)
     return value
 
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "integrate":
             p.add_argument("--verify", action="store_true",
                            help="add level-set oracle values and gaps")
-        p.add_argument("--a", type=float, default=0.0, help="interval origin (default 0)")
+        p.add_argument("--a", type=finite, default=0.0, help="interval origin (default 0)")
         p.add_argument("--t", type=_t_range, required=True, metavar="START:STOP:POINTS",
                        help="uniform evaluation grid, inclusive endpoints")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

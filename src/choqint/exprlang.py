@@ -72,7 +72,7 @@ class Num(Expr):
     value: float
 
     def _eval(self, t):
-        return np.full_like(t, self.value)
+        return np.float64(self.value)
 
     def _diff(self):
         return Num(0.0)
@@ -114,6 +114,13 @@ class Neg(Expr):
 
 def _first_bad(t: np.ndarray, mask: np.ndarray) -> float:
     return float(t[np.argmax(mask)])
+
+
+def _full(t: np.ndarray, value) -> np.ndarray:
+    """``value``, a constant's scalar (it broadcasts in + - * /) or an array,
+    as an array of t's shape: exp, log and power round differently on a
+    broadcast scalar (np.power(x, 2.0) differs in the last bit)."""
+    return np.full_like(t, value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -198,10 +205,9 @@ class Pow(Expr):
         bad = b < 0.0
         if bad.any():
             raise DomainError(render(self), _first_bad(t, bad), "negative base of a power")
-        bad = (b == 0.0) & (e < 0.0)
-        if bad.any():
+        if np.any(e < 0.0) and np.any(bad := (b == 0.0) & (e < 0.0)):
             raise DomainError(render(self), _first_bad(t, bad), "zero raised to a negative power")
-        return b ** e
+        return _full(t, b) ** _full(t, e)
 
     def _diff(self):
         expo = self.exponent
@@ -253,7 +259,7 @@ class Exp(Expr):
     arg: Expr
 
     def _eval(self, t):
-        return np.exp(self.arg._eval(t))
+        return np.exp(_full(t, self.arg._eval(t)))
 
     def _diff(self):
         return build(Mul, self, self.arg._diff())
@@ -271,7 +277,7 @@ class Ln(Expr):
         bad = u <= 0.0
         if bad.any():
             raise DomainError(render(self), _first_bad(t, bad), "ln of a non-positive")
-        return np.log(u)
+        return np.log(_full(t, u))
 
     def _diff(self):
         return build(Div, self.arg._diff(), self.arg)
@@ -485,10 +491,10 @@ def evaluate(expr: Expr, t):
     arr = np.asarray(t, dtype=float)
     flat = np.atleast_1d(arr).ravel()
     with np.errstate(all="ignore"):
-        out = expr._eval(flat)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise DomainError(render(expr), _first_bad(flat, bad), "non-finite result")
+        out = _full(flat, expr._eval(flat))
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise DomainError(render(expr), _first_bad(flat, ~finite), "non-finite result")
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -43,26 +43,43 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
-def graded_mesh(a: float, b: float, n: int, grading: float) -> np.ndarray:
+def graded_mesh(a, b, n: int, grading: float) -> np.ndarray:
     """Break [a, b] into n cells whose sizes shrink geometrically toward
-    both endpoints (ratio = grading); grading = 1 gives a uniform mesh."""
+    both endpoints (ratio = grading); grading = 1 gives a uniform mesh.
+    Given arrays of ends, row i is the mesh of [a_i, b_i]."""
+    a, b = (np.asarray(end, dtype=float)[..., None] for end in np.broadcast_arrays(a, b))
     n_left = n // 2
     n_right = n - n_left
     mid = 0.5 * (a + b)
-    parts = [np.array([a])]
+    parts = [a]
     if n_left:
         sizes = grading ** np.arange(n_left - 1, -1, -1, dtype=float)
         parts.append(a + np.cumsum(sizes) / sizes.sum() * (mid - a))
     if n_right:
         sizes = grading ** np.arange(0, n_right, dtype=float)
         parts.append(mid + np.cumsum(sizes) / sizes.sum() * (b - mid))
-    mesh = np.concatenate(parts)
-    mesh[-1] = b
+    mesh = np.concatenate(parts, axis=-1)
+    mesh[..., -1] = b[..., 0]
     return mesh
+
+
+def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
+               nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of one pass over each [lo, hi_i] (lo a scalar or like hi), row i
+    cell by cell, and folded weights (cell half-width times Gauss weight):
+    a row's pass is one dot, and elementwise arithmetic keeps rows apart."""
+    mesh = graded_mesh(lo, hi, cells, grading)
+    x, w = _gauss_nodes(nodes)
+    mids = 0.5 * (mesh[:, 1:] + mesh[:, :-1])
+    halves = 0.5 * (mesh[:, 1:] - mesh[:, :-1])
+    points = (mids[..., None] + halves[..., None] * x).reshape(mesh.shape[0], -1)
+    # rounding in tiny graded cells can push a node an ulp past an endpoint,
+    # which matters for integrands defined only inside [lo, hi]
+    np.clip(points, np.minimum(lo, hi)[:, None], np.maximum(lo, hi)[:, None], out=points)
+    return points, (halves[..., None] * w).reshape(points.shape)
 
 
 # a transform revisits the passes over [0, T] of its few windows T for
@@ -70,20 +87,10 @@ def graded_mesh(a: float, b: float, n: int, grading: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _pass_nodes(a: float, b: float, cells: int, grading: float,
                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat nodes of one pass, cell by cell, and their folded
-    weights (cell half-width times Gauss weight): the pass is one dot."""
-    mesh = graded_mesh(a, b, cells, grading)
-    x, w = _gauss_nodes(nodes)
-    mids = 0.5 * (mesh[1:] + mesh[:-1])
-    halves = 0.5 * (mesh[1:] - mesh[:-1])
-    points = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    # rounding in tiny graded cells can push a node an ulp past an endpoint,
-    # which matters for integrands defined only inside [a, b]
-    np.clip(points, min(a, b), max(a, b), out=points)
-    weights = (halves[:, None] * w[None, :]).ravel()
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
+    """Read-only flat nodes and folded weights of one pass over [a, b]."""
+    points, weights = _pass_rows(a, np.array([b]), cells, grading, nodes)
+    points.flags.writeable = weights.flags.writeable = False
+    return points[0], weights[0]
 
 
 def composite_gauss_legendre(

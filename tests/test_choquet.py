@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqint import (
     ChoquetProblem,
+    DivergentIntegralError,
     Distortion,
     IntervalCapacity,
     InvalidDistortionError,
@@ -24,6 +29,12 @@ from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_mono
 
 
 class TestProblemConstruction:
+    @pytest.mark.parametrize("points", [[0.0, np.nan], [np.nan, 1.0], [0.0, np.inf],
+                                        [-np.inf, 0.0]])
+    def test_grid_points_must_be_finite(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            choquet.as_grid(points)
+
     def test_grid_must_be_increasing(self):
         d = Distortion.from_expression("t", upper=2.0)
         with pytest.raises(ValueError):
@@ -77,6 +88,40 @@ class TestLevelSetRoute:
         assert choquet_level_set(p)[0] == 0.0
 
 
+def spy_sizes(monkeypatch) -> tuple[list, list]:
+    """The sizes of every evaluate call the routes make, and the rows and
+    nodes of every pass-node build."""
+    sizes, builds = [], []
+    for module in (choquet, capacity):
+        def spy(expr, t, _fn=module.evaluate):
+            sizes.append(np.size(t))
+            return _fn(expr, t)
+        monkeypatch.setattr(module, "evaluate", spy)
+
+    def build_spy(lo, hi, cells, grading, nodes, _fn=choquet._pass_rows):
+        builds.append((hi.size, hi.size * cells * nodes))
+        return _fn(lo, hi, cells, grading, nodes)
+
+    monkeypatch.setattr(choquet, "_pass_rows", build_spy)
+    return sizes, builds
+
+
+def every_halving_bisection(g, a, alphas, ts):
+    """The level-set bisection with its stop test on every halving, and the
+    number of halvings it made."""
+    lo, hi = np.full_like(alphas, a), np.array(ts, dtype=float)
+    lo_below = np.zeros(alphas.shape, dtype=bool)
+    mid = 0.5 * (lo + hi)
+    for step in range(100):
+        reached = evaluate(g, mid) >= alphas
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+        lo_below |= ~reached
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= BISECTION_TOL) | (mid == hi) | ((mid == lo) & lo_below)):
+            break
+    return hi, step + 1
+
+
 def full_bisection(g, a, alphas, ts):
     """The leftmost tau with g(tau) >= alpha, every bracket [a, t] halved
     100 times with no early stop."""
@@ -122,20 +167,18 @@ class TestLevelSetGrid:
         assert values[3] == pytest.approx(alone[0], rel=1e-12)
 
     def test_no_evaluate_call_exceeds_the_batch(self, monkeypatch):
-        # 30 points of 640 alpha nodes each (1280 after one doubling) are
-        # far more than one batch
+        # 30 points of 640 nodes each (1280 after one doubling) are far more
+        # than one batch, on every route
         grid = np.linspace(1.0, 3.0, 30)
         p = sqrt_problem(1.0, grid)
-        sizes = []
-        for module in (choquet, capacity):
-            def spy(expr, t, _fn=module.evaluate):
-                sizes.append(np.size(t))
-                return _fn(expr, t)
-            monkeypatch.setattr(module, "evaluate", spy)
-        values = choquet_level_set(p)
-        assert max(sizes) == LEVEL_SET_BATCH
-        monkeypatch.undo()
-        assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=1e-9)
+        # the general route's difference step costs it digits
+        for route, rel in ((choquet_level_set, 1e-9), (choquet_convolution, 1e-9),
+                           (choquet_general, 1e-7)):
+            sizes, _ = spy_sizes(monkeypatch)
+            values = route(p)
+            assert max(sizes) == LEVEL_SET_BATCH, route.__name__
+            monkeypatch.undo()
+            assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=rel)
 
     def test_adjacent_floats_end_the_bisection(self, monkeypatch):
         # ulp(1e5) = 1.5e-11 > BISECTION_TOL: no bracket reaches the
@@ -145,7 +188,7 @@ class TestLevelSetGrid:
         p = ChoquetProblem(a, parse(f"pow(t - {a!r}, 1.5)"), d, np.array([a + 2.0]))
         assert np.spacing(a) > BISECTION_TOL
         steps, passes = [], []
-        real_evaluate, real_pass_nodes = choquet.evaluate, choquet._pass_nodes
+        real_evaluate, real_pass_rows = choquet.evaluate, choquet._pass_rows
 
         def count_steps(expr, t):
             if np.size(t) > 1 and expr is p.g:
@@ -154,10 +197,10 @@ class TestLevelSetGrid:
 
         def count_passes(*args):
             passes.append(args)
-            return real_pass_nodes(*args)
+            return real_pass_rows(*args)
 
         monkeypatch.setattr(choquet, "evaluate", count_steps)
-        monkeypatch.setattr(choquet, "_pass_nodes", count_passes)
+        monkeypatch.setattr(choquet, "_pass_rows", count_passes)
         (value,) = choquet_level_set(p)
         monkeypatch.undo()
         assert len(steps) < 60 * len(passes)
@@ -178,6 +221,98 @@ class TestLevelSetGrid:
         got = choquet._level_points(g, a, alphas, ts)
         assert np.array_equal(got, full_bisection(g, a, alphas, ts))
         assert got[0] == a
+
+
+GRID_ROUTES = {
+    "level_set": choquet_level_set,
+    "convolution": choquet_convolution,
+    "general": choquet_general,
+}
+
+
+def per_point_values(integrand_of, p: ChoquetProblem) -> list:
+    """A forward route at each t alone: quadrature.integrate of its scalar-t
+    integrand, as the route computed it before the grid integrator.  (The
+    level-set route already bisected the nodes of many points together, and
+    a bisection's last halving depends on its batch.)"""
+    return [quadrature.integrate(integrand_of(p, p.a, t), 0.0, t - p.a)
+            for t in p.t_grid.tolist()]
+
+
+class TestGridIntegrator:
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.sampled_from([0.0, 1e3, -1e3, 1e5]),
+           m=st.sampled_from(["t^2/2", "sqrt(t)", "pow(t, 0.7)", "t + t^3"]),
+           g=st.sampled_from(["sqrt(t - A)", "pow(t - A, 1.5) + 1", "exp(t - A)"]),
+           capacity_measure=st.booleans(),
+           spans=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=4, unique=True))
+    def test_routes_equal_the_per_point_integrals_bit_for_bit(self, a, m, g, capacity_measure,
+                                                              spans):
+        d = Distortion.from_expression(m, upper=3.0)
+        grid = np.concatenate([[a], a + np.sort(spans)])
+        p = ChoquetProblem(a, parse(g.replace("A", repr(a))),
+                           distorted_capacity(d) if capacity_measure else d, grid)
+        routes = [(choquet_general, choquet._general_integrand)]
+        if not capacity_measure:
+            routes.append((choquet_convolution, choquet._convolution_integrand))
+        for route, integrand_of in routes:
+            assert route(p).tolist() == per_point_values(integrand_of, p), route.__name__
+
+    def test_large_grid_keeps_every_call_within_the_batch(self, monkeypatch):
+        grid = np.linspace(1.0, 3.0, 3000)
+        p = sqrt_problem(1.0, grid)
+        for route in GRID_ROUTES.values():
+            sizes, builds = spy_sizes(monkeypatch)
+            values = route(p)
+            monkeypatch.undo()
+            assert max(sizes) <= LEVEL_SET_BATCH, route.__name__
+            assert max(nodes for _, nodes in builds) <= LEVEL_SET_BATCH, route.__name__
+            assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=1e-7)
+
+    def test_a_row_larger_than_the_batch_is_built_alone(self, monkeypatch):
+        # 600 cells of 16 nodes are 9600 nodes per point
+        cfg = quadrature.QuadratureConfig(subintervals=600)
+        p = sqrt_problem(1.0, np.linspace(1.0, 3.0, 4))
+        for route in GRID_ROUTES.values():
+            sizes, builds = spy_sizes(monkeypatch)
+            route(p, cfg)
+            monkeypatch.undo()
+            assert max(sizes) == LEVEL_SET_BATCH
+            assert {rows for rows, _ in builds} == {1}
+            assert min(nodes for _, nodes in builds) > LEVEL_SET_BATCH
+
+    @pytest.mark.parametrize("route", sorted(GRID_ROUTES))
+    def test_no_refinement_names_the_first_point(self, route):
+        grid = np.linspace(1.0, 3.0, 5)
+        cfg = quadrature.QuadratureConfig(max_refinements=0)
+        # t = a is exactly 0 on every route, so the first point to fail is the next
+        with pytest.raises(DivergentIntegralError,
+                           match=re.escape(f"after 0 mesh doublings at t = {float(grid[1])!r}")):
+            GRID_ROUTES[route](sqrt_problem(1.0, grid), cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.sampled_from([0.0, 1.0, -1e3, 1e5, 1e12]),
+           spans=st.lists(st.floats(1e-14, 1e4), min_size=1, max_size=6),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_bisection_stops_at_the_halving_that_tests_every_step_stops_at(
+            self, a, spans, fractions):
+        # the stop test is skipped on halvings where no bracket can be final
+        g = parse(f"pow(t - {a!r}, 1.5)")
+        n = min(len(spans), len(fractions))
+        ts = a + np.array(spans[:n])
+        alphas = np.array(fractions[:n]) * evaluate(g, ts)
+        want, halvings = every_halving_bisection(g, a, alphas, ts)
+        calls = []
+
+        def spy(expr, t, _fn=choquet.evaluate):
+            calls.append(1)
+            return _fn(expr, t)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(choquet, "evaluate", spy)
+            got = choquet._level_points(g, a, alphas, ts)
+        assert np.array_equal(got, want)
+        assert len(calls) == halvings
 
 
 class TestConvolutionRoute:

@@ -146,6 +146,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "invalid tolerance value" in proc.stderr
 
+    @pytest.mark.parametrize("extra", [
+        ["--t", "0:nan:5"],
+        ["--t", "nan:1:5"],
+        ["--t", "0:inf:5"],
+        ["--a", "nan", "--t", "0:1:5"],
+        ["--a=-inf", "--t", "0:1:5"],
+    ])
+    def test_non_finite_origin_or_grid_end_is_2(self, extra):
+        proc = run_cli("verify", "--g", "t", "--m", "t^2", *extra)
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",
                        "--t", "0:2:4")

@@ -214,6 +214,44 @@ def test_invalid_constants_stay_unfolded(src):
         evaluate(e, 0.0)
 
 
+@pytest.mark.parametrize("src", ["1/0 + t", "t*sqrt(-1)", "ln(0) - t"])
+def test_unfolded_invalid_constant_names_the_first_point(src):
+    with pytest.raises(DomainError) as err:
+        evaluate(parse(src), np.array([3.0, 1.0, 2.0]))
+    assert err.value.point == 3.0
+
+
+@pytest.mark.parametrize("exponent", [0.5, 2.0, -1.0, 1.5])
+def test_constant_exponent_keeps_the_bits_of_a_full_exponent_array(exponent):
+    # np.power on a broadcast scalar exponent may take another SIMD loop,
+    # which rounds some results differently
+    b = np.random.default_rng(3).uniform(0.01, 100.0, 10_003)
+    got = evaluate(Pow(Var(), Num(exponent)), b)
+    assert np.array_equal(got, b ** np.full_like(b, exponent))
+
+
+def test_zero_base_is_checked_where_the_exponent_is_negative():
+    with pytest.raises(DomainError, match="zero raised") as err:
+        evaluate(parse("pow(t, t - 1)"), np.array([2.0, 0.0, 0.5]))
+    assert err.value.point == 0.0
+    # 0^0 and 0^1: a zero base with a nonnegative exponent is fine
+    assert evaluate(parse("pow(t, t)"), 0.0) == 1.0
+    assert evaluate(parse("pow(t, 1 - t)"), np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("t", [0.5, np.linspace(0.0, 1.0, 5), np.ones((2, 3))])
+def test_constant_expression_is_a_fresh_writable_array(t):
+    e = parse("2.5")
+    first, second = evaluate(e, t), evaluate(e, t)
+    if np.ndim(t) == 0:
+        assert isinstance(first, float) and first == 2.5
+        return
+    assert first.shape == np.shape(t) and first.flags.writeable
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, t)
+    first[...] = 0.0
+    assert np.all(evaluate(e, t) == 2.5)
+
+
 def test_derivative_at_a_subnormal_constant_is_exact():
     # the difference quotients of ln(c*t) read 0 here, since c*(t +- h)
     # rounds back to c*t; the symbolic derivative is 1/t

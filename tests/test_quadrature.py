@@ -3,12 +3,15 @@ weights; it must sum what the cellwise reduction summed."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqint.laplace import TRANSFORM_QUADRATURE
 from choqint.quadrature import (
     DEFAULT_QUADRATURE,
     _gauss_nodes,
     _pass_nodes,
+    _pass_rows,
     composite_gauss_legendre,
     graded_mesh,
 )
@@ -55,3 +58,44 @@ def test_pass_nodes_are_flat_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def one_interval_pass(a, b, cells, grading, nodes):
+    """The pass over one interval [a, b], in scalar arithmetic: the builder
+    every route used before passes were built many intervals at a time."""
+    n_left = cells // 2
+    mid = 0.5 * (a + b)
+    parts = [np.array([a])]
+    if n_left:
+        sizes = grading ** np.arange(n_left - 1, -1, -1, dtype=float)
+        parts.append(a + np.cumsum(sizes) / sizes.sum() * (mid - a))
+    sizes = grading ** np.arange(0, cells - n_left, dtype=float)
+    parts.append(mid + np.cumsum(sizes) / sizes.sum() * (b - mid))
+    mesh = np.concatenate(parts)
+    mesh[-1] = b
+    x, w = _gauss_nodes(nodes)
+    mids = 0.5 * (mesh[1:] + mesh[:-1])
+    halves = 0.5 * (mesh[1:] - mesh[:-1])
+    points = np.clip((mids[:, None] + halves[:, None] * x[None, :]).ravel(), min(a, b), max(a, b))
+    return points, (halves[:, None] * w[None, :]).ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ends=st.lists(st.tuples(st.sampled_from([0.0, 1.0, -1e3, 1e5]),
+                               st.floats(-10.0, 10.0), st.floats(1e-9, 1e3)),
+                     min_size=1, max_size=5),
+       cells=st.integers(1, 200), grading=st.floats(0.01, 1.0), nodes=st.integers(1, 20))
+def test_pass_rows_equal_one_interval_passes_bit_for_bit(ends, cells, grading, nodes):
+    lo = np.array([origin + shift for origin, shift, _ in ends])
+    hi = lo + np.array([width for _, _, width in ends])
+    points, weights = _pass_rows(lo, hi, cells, grading, nodes)
+    assert points.shape == weights.shape == (lo.size, cells * nodes)
+    for i in range(lo.size):
+        want_points, want_weights = one_interval_pass(float(lo[i]), float(hi[i]), cells,
+                                                      grading, nodes)
+        assert np.array_equal(points[i], want_points)
+        assert np.array_equal(weights[i], want_weights)
+        cached_points, cached_weights = _pass_nodes(float(lo[i]), float(hi[i]), cells,
+                                                    grading, nodes)
+        assert np.array_equal(cached_points, want_points)
+        assert np.array_equal(cached_weights, want_weights)
