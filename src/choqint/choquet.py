@@ -122,16 +122,17 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
     A bracket is final once it is within BISECTION_TOL or its ends are
     adjacent floats that halving no longer moves: the midpoint is ``hi``, or
     it is ``lo`` where g(lo) < alpha is known.  Beyond |a| of about 1e4 no
-    bracket can reach the tolerance, so that second rule ends the loop."""
+    bracket can reach the tolerance, so that second rule ends the loop.  Each
+    bracket stops at its own first final halving, whatever the other pairs."""
     lo = np.full_like(alphas, a)
     hi = np.broadcast_to(ts, alphas.shape).astype(float)
     lo_below = np.zeros(alphas.shape, dtype=bool)
     mid = 0.5 * (lo + hi)
-    # a final bracket is at most `closed` wide, and a halving keeps over half the widest one
-    # less half an ulp: none is final before log2(widest/closed) - 1 halvings; test sooner
-    widest = float(np.max(hi)) - a
+    # a final bracket is at most `closed` wide, and a halving keeps over half a bracket
+    # less half an ulp: none is final before log2(narrowest/closed) - 1 halvings; test sooner
+    narrowest = float(np.min(hi)) - a
     closed = max(BISECTION_TOL, float(np.spacing(max(abs(a), float(np.max(np.abs(hi)))))))
-    first_test = int(min(np.log2(widest / closed), 100.0)) - 3 if widest > closed else 0
+    first_test = int(min(np.log2(narrowest / closed), 100.0)) - 3 if narrowest > closed else 0
     lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     for step in range(100):
         reached = evaluate(g, mid) >= alphas
@@ -141,9 +142,14 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
         lo_bits ^= (lo_bits ^ mid_bits) & ~take
         lo_below |= ~reached
         np.multiply(lo + hi, 0.5, out=mid)
-        if step >= first_test and np.all((hi - lo <= BISECTION_TOL) | (mid == hi)
-                                         | ((mid == lo) & lo_below)):
-            break
+        if step >= first_test:
+            final = (hi - lo <= BISECTION_TOL) | (mid == hi) | ((mid == lo) & lo_below)
+            if final.all():
+                break
+            # a final bracket collapses onto hi, where further halvings move nothing
+            take = -final.astype(np.int64)
+            lo_bits ^= (lo_bits ^ hi_bits) & take
+            mid_bits ^= (mid_bits ^ hi_bits) & take
     return hi
 
 
@@ -151,28 +157,22 @@ def _integrate_on_grid(problem: ChoquetProblem, integrand_of, lo: float, hi: np.
                        cfg: QuadratureConfig) -> np.ndarray:
     """int_lo^{hi_i} integrand_of(problem, a, t_i) at every t_i of the grid (0
     where lo = hi_i) by :func:`integrate`'s doubling, stop rule and dot per
-    point; each pass builds and evaluates its nodes LEVEL_SET_BATCH at a time."""
+    point.  A pass sweeps batches of whole rows of at most LEVEL_SET_BATCH
+    nodes (a larger row goes alone, evaluated LEVEL_SET_BATCH at a time)."""
     a, ts, grading = problem.a, problem.t_grid, cfg.endpoint_grading
     per_cell = cfg.nodes_per_subinterval
 
     def grid_pass(points: np.ndarray, cells: int) -> np.ndarray:
         per_point = cells * per_cell
-        weights = np.empty((points.size, per_point))
 
-        def build(part: slice) -> np.ndarray:
-            nodes, weights[part] = _pass_rows(lo, hi[points[part]], cells, grading, per_cell)
-            return nodes
+        def rows(part: slice) -> list:
+            nodes, weights = _pass_rows(lo, hi[points[part]], cells, grading, per_cell)
+            owners, flat = np.repeat(ts[points[part]], per_point), nodes.reshape(-1)
+            # each slice's values overwrite the nodes they came from
+            _batched(lambda s: integrand_of(problem, a, owners[s])(flat[s]), flat)
+            return [float(row @ w) for row, w in zip(nodes, weights)]
 
-        nodes = _batched(build, np.empty((points.size, per_point)), cost=per_point)
-        owners, flat = ts[points], nodes.reshape(-1)
-
-        def batch(part: slice) -> np.ndarray:
-            t = owners[np.arange(*part.indices(flat.size)) // per_point]
-            return integrand_of(problem, a, t)(flat[part])
-
-        # each batch's values overwrite the nodes they came from
-        _batched(batch, flat)
-        return np.array([float(values @ w) for values, w in zip(nodes, weights)])
+        return _batched(rows, np.empty(points.size), cost=per_point)
 
     cells = cfg.subintervals
     out = np.zeros(ts.size)

@@ -185,9 +185,9 @@ class Div(Expr):
         return self.lhs._eval(t) / den
 
     def _diff(self):
-        num = build(Sub, build(Mul, self.lhs._diff(), self.rhs),
-                    build(Mul, self.lhs, self.rhs._diff()))
-        return build(Div, num, build(Mul, self.rhs, self.rhs))
+        # l'/r - (l/r)(r'/r): no product of the operands' scales forms to underflow
+        quotient = build(Mul, self, build(Div, self.rhs._diff(), self.rhs))
+        return build(Sub, build(Div, self.lhs._diff(), self.rhs), quotient)
 
     def _render(self, prec):
         body = f"{self.lhs._render(2)}/{self.rhs._render(3)}"
@@ -492,6 +492,8 @@ def evaluate(expr: Expr, t):
     flat = np.atleast_1d(arr).ravel()
     with np.errstate(all="ignore"):
         out = _full(flat, expr._eval(flat))
+    if out is flat:  # t itself (Var): a result never aliases the caller's array
+        out = flat.copy()
     finite = np.isfinite(out)
     if not finite.all():
         raise DomainError(render(expr), _first_bad(flat, ~finite), "non-finite result")

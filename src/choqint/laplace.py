@@ -73,7 +73,7 @@ TAIL_BOUND = 1e-12
 
 #: transforms are refined to the rounding floor: Stehfest weights amplify
 #: uncorrelated per-node errors by ~1e7, so anything looser leaks into the
-#: inverted values
+#: inverted values; a transform that misses it raises DivergentIntegralError
 TRANSFORM_QUADRATURE = QuadratureConfig(
     subintervals=48,
     nodes_per_subinterval=24,
@@ -269,14 +269,14 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
             out *= store.values(T, points)
             return out
 
-        return integrate(integrand, 0.0, T, TRANSFORM_QUADRATURE,
-                         absolute_floor=0.0, strict=False)
+        return integrate(integrand, 0.0, T, TRANSFORM_QUADRATURE, absolute_floor=0.0)
 
     k = _truncation_exponent(store, s, TAIL_BOUND)
     first = transform_to(2.0 ** k)
     if first == 0.0:
         return first
-    target = min(TAIL_BOUND, 1e-14 * abs(first))
+    # floored at the smallest normal float, 2^-1022: a subnormal value's target would round to 0
+    target = max(min(TAIL_BOUND, 1e-14 * abs(first)), 2.0 ** -1022)
     k_refined = _truncation_exponent(store, s, target, start=k)
     if k_refined == k:
         return first

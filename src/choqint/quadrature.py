@@ -114,15 +114,12 @@ def integrate(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     absolute_floor: float = 1.0,
-    strict: bool = True,
 ) -> float:
     """Integrate ``fn`` over [a, b] with mesh-doubling refinement.
 
-    Stops once |change| <= refinement_tolerance * (absolute_floor + |value|).
-    With ``strict`` a failure to converge within ``max_refinements`` raises
-    :class:`DivergentIntegralError`; otherwise the best estimate is returned
-    (used for Laplace transforms, where the tolerance sits at the rounding
-    floor on purpose).
+    Stops once |change| <= refinement_tolerance * (absolute_floor + |value|);
+    a failure to converge within ``max_refinements`` raises
+    :class:`DivergentIntegralError`.
     """
     if b == a:
         return 0.0
@@ -134,8 +131,6 @@ def integrate(
         if abs(cur - prev) <= cfg.refinement_tolerance * (absolute_floor + abs(cur)):
             return cur
         prev = cur
-    if strict:
-        raise DivergentIntegralError(
-            f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings"
-        )
-    return prev
+    raise DivergentIntegralError(
+        f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings"
+    )

@@ -158,6 +158,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "finite" in proc.stderr
 
+    # the ramp's transforms at the largest Stehfest nodes of t = 0.01 are
+    # subnormal; the exit codes are the solvers' verdicts, not a crash
+    RAMP = "(t - 0.7 + abs(t - 0.7))/2"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["derive", "--f", RAMP, "--m", "t"], 5),
+        (["identify", "--f", RAMP, "--g", "1"], 0),
+    ], ids=["derive", "identify"])
+    def test_subnormal_transform_is_no_crash(self, argv, code):
+        proc = run_cli(*argv, "--a", "0", "--t", "0.01:1:5")
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",
                        "--t", "0:2:4")

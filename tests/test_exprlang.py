@@ -252,6 +252,24 @@ def test_constant_expression_is_a_fresh_writable_array(t):
     assert np.all(evaluate(e, t) == 2.5)
 
 
+@pytest.mark.parametrize("src", ["t", "t*1"])
+def test_the_variable_evaluates_to_a_fresh_array(src):
+    # t*1 folds to t itself; writing into the result must leave t alone
+    t = np.linspace(0.0, 1.0, 5)
+    got = evaluate(parse(src), t)
+    assert np.array_equal(got, t) and not np.shares_memory(got, t)
+    got[0] = 5.0
+    assert t[0] == 0.0
+
+
+def test_quotient_rule_keeps_tiny_operands_apart():
+    # (1/c)*((k t)/(c/t)) = (k/c^2) t^2; the products k*c and c*c of the
+    # textbook form (l'r - l r')/r^2 underflow to 0
+    c, k = 2.8e-146, 7.8e-196
+    d = differentiate(parse(f"(1/{c!r})*(({k!r}*t)/({c!r}/t))"))
+    assert evaluate(d, 1.0) == pytest.approx(2.0 * k / c ** 2, rel=1e-12)
+
+
 def test_derivative_at_a_subnormal_constant_is_exact():
     # the difference quotients of ln(c*t) read 0 here, since c*(t +- h)
     # rounds back to c*t; the symbolic derivative is 1/t

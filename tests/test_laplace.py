@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,13 @@ class TestForwardLaplace:
     def test_exponential_growth_diverges(self):
         with pytest.raises(DivergentIntegralError):
             forward_laplace(parse("exp(2*t)"), 1.0)
+
+    def test_subnormal_value(self):
+        # the ramp's transform exp(-0.7 s)/s^2 is subnormal at this s, where
+        # a relative truncation target would round to 0 without its floor
+        s = 15.0 * math.log(2.0) / 0.01
+        value = forward_laplace(parse("(t - 0.7 + abs(t - 0.7))/2"), s)
+        assert 0.0 < value < sys.float_info.min
 
     def test_memoized_transform(self):
         calls = []
