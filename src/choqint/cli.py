@@ -67,6 +67,10 @@ EXIT_NO_DERIVATIVE = 5
 EXIT_VERIFY_FAILED = 6
 
 
+#: the most points a grid takes: a larger one is refused before it is built
+MAX_POINTS = 100_000
+
+
 class UsageError(ChoqintError):
     """Invalid run configuration (exits like an argparse usage error)."""
 
@@ -81,6 +85,8 @@ def _t_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if points < 2:
         raise argparse.ArgumentTypeError("need at least 2 grid points")
+    if points > MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"need at most {MAX_POINTS} grid points")
     if stop <= start:
         raise argparse.ArgumentTypeError("STOP must exceed START")
     return start, stop, points

@@ -9,7 +9,12 @@ Grammar (EBNF)::
 
 ``IDENT`` is one of ``sqrt``, ``exp``, ``ln``, ``abs``, ``pow``; ``NUMBER``
 is a decimal literal with optional exponent.  Power binds tighter than unary
-minus and is right-associative.
+minus and is right-associative.  A tree is at most ``_MAX_DEPTH`` deep:
+each parenthesis, call, unary minus and chained operator counts one level.
+
+Each node class carries its operator once: an infix class its symbol,
+precedence, operand sides and folding identities, a function its name;
+``_NEG`` is the level of unary minus.  The parser, render and build read them.
 
 Expressions are immutable after parsing; evaluation is re-entrant, accepts
 scalars or numpy arrays, and never returns a silent NaN: leaving the domain
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,10 +55,16 @@ __all__ = [
 
 _MAX_DEPTH = 200
 
+#: binding level of unary minus (and of a negative literal, which renders
+#: like one); a sum binds at 1, a product at 2, an atom at _NEG + 1
+_NEG = 3
+
 
 @dataclass(frozen=True)
 class Expr:
     """Base node.  Subclasses implement ``_eval``/``_diff``/``_render``."""
+
+    identity: ClassVar[tuple] = (None, None)
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -78,11 +90,8 @@ class Num(Expr):
         return Num(0.0)
 
     def _render(self, prec):
-        text = repr(self.value)
-        # a negative literal binds like unary minus, so a power base needs parens
-        if self.value < 0 and prec > 3:
-            return f"({text})"
-        return text
+        text = repr(self.value)  # written with a minus (-0.0 too), it binds as one
+        return f"({text})" if text[0] == "-" and prec > _NEG else text
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,8 @@ class Neg(Expr):
         return build(Neg, self.arg._diff())
 
     def _render(self, prec):
-        body = "-" + self.arg._render(3)
-        return f"({body})" if prec > 3 else body
+        body = "-" + self.arg._render(_NEG)
+        return f"({body})" if prec > _NEG else body
 
 
 def _first_bad(t: np.ndarray, mask: np.ndarray) -> float:
@@ -124,9 +133,25 @@ def _full(t: np.ndarray, value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Infix(Expr):
+    """A binary operator written between its two operands: ``symbol`` as
+    rendered, its precedence ``prec``, and the levels its left and right
+    operands bind at (``sides``; the parser reads the right one)."""
+    symbol: ClassVar[str]
+    prec: ClassVar[int]
+    sides: ClassVar[tuple[int, int]]
+
+    def _render(self, prec):
+        lhs, rhs = (getattr(self, f.name) for f in fields(self))
+        body = lhs._render(self.sides[0]) + self.symbol + rhs._render(self.sides[1])
+        return f"({body})" if prec > self.prec else body
+
+
+@dataclass(frozen=True)
+class Add(_Infix):
     lhs: Expr
     rhs: Expr
+    symbol, prec, sides, identity = " + ", 1, (1, 2), (0.0, 0.0)
 
     def _eval(self, t):
         return self.lhs._eval(t) + self.rhs._eval(t)
@@ -134,15 +159,12 @@ class Add(Expr):
     def _diff(self):
         return build(Add, self.lhs._diff(), self.rhs._diff())
 
-    def _render(self, prec):
-        body = f"{self.lhs._render(1)} + {self.rhs._render(2)}"
-        return f"({body})" if prec > 1 else body
-
 
 @dataclass(frozen=True)
-class Sub(Expr):
+class Sub(_Infix):
     lhs: Expr
     rhs: Expr
+    symbol, prec, sides, identity = " - ", 1, (1, 2), (None, 0.0)
 
     def _eval(self, t):
         return self.lhs._eval(t) - self.rhs._eval(t)
@@ -150,15 +172,12 @@ class Sub(Expr):
     def _diff(self):
         return build(Sub, self.lhs._diff(), self.rhs._diff())
 
-    def _render(self, prec):
-        body = f"{self.lhs._render(1)} - {self.rhs._render(2)}"
-        return f"({body})" if prec > 1 else body
-
 
 @dataclass(frozen=True)
-class Mul(Expr):
+class Mul(_Infix):
     lhs: Expr
     rhs: Expr
+    symbol, prec, sides, identity = "*", 2, (2, _NEG), (1.0, 1.0)
 
     def _eval(self, t):
         return self.lhs._eval(t) * self.rhs._eval(t)
@@ -167,15 +186,12 @@ class Mul(Expr):
         return build(Add, build(Mul, self.lhs._diff(), self.rhs),
                      build(Mul, self.lhs, self.rhs._diff()))
 
-    def _render(self, prec):
-        body = f"{self.lhs._render(2)}*{self.rhs._render(3)}"
-        return f"({body})" if prec > 2 else body
-
 
 @dataclass(frozen=True)
-class Div(Expr):
+class Div(_Infix):
     lhs: Expr
     rhs: Expr
+    symbol, prec, sides, identity = "/", 2, (2, _NEG), (None, 1.0)
 
     def _eval(self, t):
         den = self.rhs._eval(t)
@@ -189,15 +205,13 @@ class Div(Expr):
         quotient = build(Mul, self, build(Div, self.rhs._diff(), self.rhs))
         return build(Sub, build(Div, self.lhs._diff(), self.rhs), quotient)
 
-    def _render(self, prec):
-        body = f"{self.lhs._render(2)}/{self.rhs._render(3)}"
-        return f"({body})" if prec > 2 else body
-
 
 @dataclass(frozen=True)
-class Pow(Expr):
+class Pow(_Infix):
     base: Expr
     exponent: Expr
+    # the base binds as an atom, the exponent as a factor (right-associative)
+    symbol, prec, sides, name = "^", _NEG, (_NEG + 1, _NEG), "pow"
 
     def _eval(self, t):
         b = self.base._eval(t)
@@ -230,15 +244,18 @@ class Pow(Expr):
             f"cannot differentiate {render(self)}: both base and exponent vary"
         )
 
-    def _render(self, prec):
-        # base must sit at atom level, exponent is a factor (right-associative)
-        body = f"{self.base._render(4)}^{self.exponent._render(3)}"
-        return f"({body})" if prec > 3 else body
-
 
 @dataclass(frozen=True)
-class Sqrt(Expr):
+class _Call(Expr):
+    """A function of one argument, written ``name(arg)`` (a class attribute)."""
     arg: Expr
+
+    def _render(self, prec):
+        return f"{self.name}({self.arg._render(0)})"
+
+
+class Sqrt(_Call):  # adds no field: a frozen dataclass by inheritance
+    name = "sqrt"
 
     def _eval(self, t):
         u = self.arg._eval(t)
@@ -250,13 +267,9 @@ class Sqrt(Expr):
     def _diff(self):
         return build(Div, self.arg._diff(), build(Mul, Num(2.0), self))
 
-    def _render(self, prec):
-        return f"sqrt({self.arg._render(0)})"
 
-
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Exp(_Call):
+    name = "exp"
 
     def _eval(self, t):
         return np.exp(_full(t, self.arg._eval(t)))
@@ -264,13 +277,9 @@ class Exp(Expr):
     def _diff(self):
         return build(Mul, self, self.arg._diff())
 
-    def _render(self, prec):
-        return f"exp({self.arg._render(0)})"
 
-
-@dataclass(frozen=True)
-class Ln(Expr):
-    arg: Expr
+class Ln(_Call):
+    name = "ln"
 
     def _eval(self, t):
         u = self.arg._eval(t)
@@ -282,13 +291,9 @@ class Ln(Expr):
     def _diff(self):
         return build(Div, self.arg._diff(), self.arg)
 
-    def _render(self, prec):
-        return f"ln({self.arg._render(0)})"
 
-
-@dataclass(frozen=True)
-class Abs(Expr):
-    arg: Expr
+class Abs(_Call):
+    name = "abs"
 
     def _eval(self, t):
         return np.abs(self.arg._eval(t))
@@ -296,8 +301,10 @@ class Abs(Expr):
     def _diff(self):
         raise NonDifferentiableError("abs has no symbolic derivative in this version")
 
-    def _render(self, prec):
-        return f"abs({self.arg._render(0)})"
+
+#: the infix operators by symbol and the functions by name, as the parser reads them
+_INFIX = {cls.symbol.strip(): cls for cls in _Infix.__subclasses__()}
+_FUNCTIONS = {cls.name: cls for cls in (*_Call.__subclasses__(), Pow)}
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +313,11 @@ class Abs(Expr):
 # constant collapses by running through the standard evaluator, so folded
 # values are bit-identical to unfolded evaluation; invalid constants (1/0,
 # ln(-1), overflow) stay unfolded and error at evaluation time exactly as
-# written.  Otherwise a binary node drops an operand equal to its identity
-# on that side (``_IDENTITY``: left, right; None where the side has none).
+# written.  Otherwise a binary node drops an operand equal to its class's
+# ``identity`` on that side (left, right; None where the side has none).
 # Identity folds are limited to those that cannot widen the domain (in
 # particular x^1 keeps its node: powers reject negative bases, bare x does
 # not; 0*x keeps its node: x may leave its domain).
-
-_IDENTITY = {Add: (0.0, 0.0), Sub: (None, 0.0), Mul: (1.0, 1.0), Div: (None, 1.0)}
-
 
 def build(cls: type, *args: Expr) -> Expr:
     """The node ``cls(*args)``, constant-folded."""
@@ -323,7 +327,7 @@ def build(cls: type, *args: Expr) -> Expr:
             return Num(evaluate(node, 0.0))
         except DomainError:
             return node
-    left, right = _IDENTITY.get(cls, (None, None))
+    left, right = cls.identity
     if isinstance(args[0], Num) and args[0].value == left:
         return args[1]
     if isinstance(args[-1], Num) and args[-1].value == right:
@@ -342,8 +346,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "ln": Ln, "abs": Abs, "pow": Pow}
 
 
 def _byte_offset(src: str, index: int) -> int:
@@ -401,40 +403,23 @@ class _Parser:
             raise ParseError(tok.offset, "a shallower expression",
                              "nesting deeper than %d levels" % _MAX_DEPTH)
 
-    def leave(self) -> None:
-        self.depth -= 1
-
-    def parse_expr(self) -> Expr:
-        self.enter(self.peek())
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = build(Add if op == "+" else Sub, node, rhs)
-        self.leave()
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.parse_factor()
-            node = build(Mul if op == "*" else Div, node, rhs)
-        return node
-
-    def parse_factor(self) -> Expr:
+    def parse_expr(self, floor: int = 0) -> Expr:
+        """An operand and every infix operator that follows at precedence
+        ``floor`` or above.  The call and each operator it chains count one
+        level until it returns, so the limit bounds the tree's depth."""
+        outer = self.depth
         tok = self.peek()
         self.enter(tok)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            node = build(Neg, self.parse_factor())
+            node = build(Neg, self.parse_expr(_NEG))
         else:
             node = self.parse_atom()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "^":
-                self.advance()
-                node = build(Pow, node, self.parse_factor())
-        self.leave()
+        while ((tok := self.peek()).kind == "op" and (op := _INFIX.get(tok.text))
+               and op.prec >= floor):
+            self.enter(self.advance())
+            node = build(op, node, self.parse_expr(op.sides[1]))
+        self.depth = outer
         return node
 
     def parse_atom(self) -> Expr:
@@ -448,16 +433,16 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "t":
                 return Var()
-            if tok.text not in _FUNCTIONS:
-                raise ParseError(tok.offset, "one of sqrt, exp, ln, abs, pow, or t",
+            if (cls := _FUNCTIONS.get(tok.text)) is None:
+                raise ParseError(tok.offset, f"one of {', '.join(_FUNCTIONS)}, or t",
                                  repr(tok.text))
             self.expect_op("(")
             args = [self.parse_expr()]
-            if tok.text == "pow":
+            for _ in fields(cls)[1:]:
                 self.expect_op(",")
                 args.append(self.parse_expr())
             self.expect_op(")")
-            return build(_FUNCTIONS[tok.text], *args)
+            return build(cls, *args)
         if tok.kind == "op" and tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")

@@ -49,7 +49,13 @@ from .errors import (
     OriginNotZeroError,
 )
 from .exprlang import Expr, evaluate
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _gauss_nodes, integrate
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    _gauss_nodes,
+    _require_row,
+    integrate,
+)
 
 __all__ = [
     "InversionConfig",
@@ -401,6 +407,9 @@ def _convolutions(kernel, factor, spans: np.ndarray, knots: np.ndarray,
     u are cut at 0, u and u - k for the knots k, and the nodes of every
     span go through ``kernel`` and ``factor`` together, LEVEL_SET_BATCH
     nodes at a time."""
+    # a span has at most one cell more than there are knots
+    cost = (knots.size + 1) * nodes
+    _require_row(cost)
     x, w = _gauss_nodes(nodes)
 
     def convolve(part: slice) -> np.ndarray:
@@ -419,8 +428,7 @@ def _convolutions(kernel, factor, spans: np.ndarray, knots: np.ndarray,
                  * (halves[:, None] * w).ravel())
         return np.bincount(owners, weights=terms, minlength=us.shape[0])
 
-    # a span has at most one cell more than there are knots
-    return _batched(convolve, np.empty(spans.size), cost=(knots.size + 1) * nodes)
+    return _batched(convolve, np.empty(spans.size), cost=cost)
 
 
 def _require_tolerances(**tolerances: float) -> None:

@@ -18,6 +18,12 @@ from .errors import DivergentIntegralError
 
 __all__ = ["QuadratureConfig", "graded_mesh", "composite_gauss_legendre", "integrate"]
 
+#: the most Gauss-Legendre nodes per cell (a finer mesh is the cheaper way
+#: to more accuracy), and the most nodes of one row: a pass over one
+#: interval, or one span of a convolution
+MAX_CELL_NODES = 128
+MAX_ROW_NODES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -30,6 +36,11 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.subintervals < 1 or self.nodes_per_subinterval < 1:
             raise ValueError("subintervals and nodes_per_subinterval must be positive")
+        if self.nodes_per_subinterval > MAX_CELL_NODES:
+            raise ValueError(f"nodes_per_subinterval must be at most {MAX_CELL_NODES}")
+        if self.subintervals * self.nodes_per_subinterval > MAX_ROW_NODES:
+            raise ValueError("the first pass, subintervals * nodes_per_subinterval, "
+                             f"must be at most {MAX_ROW_NODES} nodes")
         if self.refinement_tolerance <= 0.0:
             raise ValueError("refinement_tolerance must be positive")
         if self.max_refinements < 0:
@@ -66,11 +77,19 @@ def graded_mesh(a, b, n: int, grading: float) -> np.ndarray:
     return mesh
 
 
+def _require_row(nodes: int) -> None:
+    """A row of more than MAX_ROW_NODES nodes is refused before it is built."""
+    if nodes > MAX_ROW_NODES:
+        raise DivergentIntegralError(
+            f"a quadrature row of {nodes} nodes exceeds the cap of {MAX_ROW_NODES}")
+
+
 def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
                nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of one pass over each [lo, hi_i] (lo a scalar or like hi), row i
     cell by cell, and folded weights (cell half-width times Gauss weight):
     a row's pass is one dot, and elementwise arithmetic keeps rows apart."""
+    _require_row(cells * nodes)
     mesh = graded_mesh(lo, hi, cells, grading)
     x, w = _gauss_nodes(nodes)
     mids = 0.5 * (mesh[:, 1:] + mesh[:, :-1])

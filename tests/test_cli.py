@@ -57,6 +57,16 @@ ARGV = {
 }
 
 
+def main_exit_code(argv) -> int:
+    """``cli.main(argv)`` in this process; argparse's rejections exit."""
+    from choqint import cli
+
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestExitCodes:
     def test_expression_error_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-", "--m", "t", "--a", "0",
@@ -170,6 +180,38 @@ class TestExitCodes:
         proc = run_cli(*argv, "--a", "0", "--t", "0.01:1:5")
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+
+    CHAIN = "+".join(["t"] * 3000)
+    SIZES = ["integrate", "--g", "t", "--m", "t", "--a", "0"]
+
+    # each is refused before the tree, grid, Gauss rule or pass it asks for
+    # is built
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--g", CHAIN, "--m", "t", "--a", "0", "--t", "0:1:3"],
+        ["integrate", "--g", CHAIN.replace("+", "*"), "--m", "t", "--a", "0",
+         "--t", "0:1:3"],
+        ["derive", "--f", CHAIN, "--m", "t", "--a", "0", "--t", "0.1:1:3"],
+        [*SIZES, "--t", "0:1:10000000000000"],
+        [*SIZES, "--t", "0:1:3", "--nodes", "100000000"],
+        [*SIZES, "--t", "0:1:3", "--subintervals", "1000000000"],
+        ["derive", "--f", "t^2", "--m", "t", "--a", "0", "--t", "0.1:1:3",
+         "--nodes", "1000000000"],
+    ], ids=["sum-chain", "product-chain", "derive-chain", "grid-points", "nodes",
+            "subintervals", "derive-nodes"])
+    def test_oversized_input_is_2_without_a_traceback(self, argv, capsys):
+        assert main_exit_code(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_pass_above_the_row_cap_is_4_without_a_traceback(self, capsys):
+        # on a uniform mesh the kink at 0.3 keeps every doubling moving, so
+        # this tolerance is never met: the pass of 640 * 2^13 nodes, above
+        # 2^22, is refused instead of built
+        argv = ["integrate", "--g", "t + abs(t - 0.3)", "--m", "t^1.5", "--a", "0",
+                "--t", "0:1:3", "--grading", "1", "--refinement-tol", "1e-300",
+                "--max-refinements", "30"]
+        assert main_exit_code(argv) == 4
+        err = capsys.readouterr().err
+        assert "exceeds the cap of 4194304" in err and "Traceback" not in err
 
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",

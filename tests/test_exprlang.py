@@ -126,6 +126,41 @@ def test_deep_nesting_is_rejected_not_crashed():
         parse("-" * 5000 + "t")
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_flat_operator_chains_count_toward_the_limit(op):
+    # a chain is parsed by a loop, not by recursion, but it builds a tree as
+    # deep as it is long: each chained operator counts one level
+    parse(op.join(["t"] * 100))
+    with pytest.raises(ParseError, match="nesting deeper than 200 levels"):
+        parse(op.join(["t"] * 3000))
+
+
+def _deepest(shape):
+    """``shape(n)`` at the largest n that parses, and n."""
+    for n in range(1, 1000):
+        try:
+            parse(shape(n + 1))
+        except ParseError:
+            return shape(n), n
+    raise AssertionError("no depth limit below 1000 levels")
+
+
+@pytest.mark.parametrize("shape,depth", [
+    (lambda n: "/".join(["t"] * n), 199),
+    (lambda n: "t/(" * n + "t" + ")" * n, 66),
+    (lambda n: "sqrt(" * n + "t" + ")" * n, 199),
+    (lambda n: "-" * n + "t", 199),
+], ids=["division-chain", "nested-division", "nested-sqrt", "nested-minus"])
+def test_the_deepest_accepted_trees_evaluate_and_differentiate(shape, depth):
+    src, n = _deepest(shape)
+    assert n == depth
+    e = parse(src)
+    assert math.isfinite(evaluate(e, 1.5))
+    d = differentiate(e)
+    assert math.isfinite(evaluate(d, 1.5))
+    assert parse(render(e)) == e
+
+
 def test_parse_error_offsets_are_byte_offsets():
     with pytest.raises(ParseError) as err:
         parse("t + é")
@@ -181,6 +216,44 @@ def test_render_round_trip(src):
 def test_render_parenthesizes_power_base():
     e = parse("(t^2)^3")
     assert evaluate(parse(render(e)), 2.0) == evaluate(e, 2.0) == 64.0
+
+
+def test_negative_zero_power_base_keeps_its_parentheses():
+    # -0.0 is not below 0, but it is written with a minus: bare, -0.0^t
+    # would read back as -(0.0^t), which is -1 at t = 0
+    e = parse("pow(-0, t)")
+    assert render(e) == "(-0.0)^t"
+    assert parse(render(e)) == e
+    assert evaluate(parse(render(e)), 0.0) == evaluate(e, 0.0) == 1.0
+
+
+# each pair sits at a precedence or associativity boundary; folded constants
+# are part of the tree the parser builds
+@pytest.mark.parametrize("src,tree", [
+    ("-t^2", Neg(Pow(Var(), Num(2.0)))),
+    ("-2*t", Mul(Num(-2.0), Var())),
+    ("2*-t", Mul(Num(2.0), Neg(Var()))),
+    ("2^-1", Num(0.5)),
+    ("t^-t", Pow(Var(), Neg(Var()))),
+    ("2^3^2", Num(512.0)),
+    ("t^t^2", Pow(Var(), Pow(Var(), Num(2.0)))),
+    ("t-1-t", Sub(Sub(Var(), Num(1.0)), Var())),
+    ("t-(1-t)", Sub(Var(), Sub(Num(1.0), Var()))),
+    ("t-t+t", Add(Sub(Var(), Var()), Var())),
+    ("t*t/t", Div(Mul(Var(), Var()), Var())),
+    ("t*(t*t)", Mul(Var(), Mul(Var(), Var()))),
+    ("t/2*t", Mul(Div(Var(), Num(2.0)), Var())),
+    ("t/(2*t)", Div(Var(), Mul(Num(2.0), Var()))),
+    ("t+t*t", Add(Var(), Mul(Var(), Var()))),
+    ("(-t)^2", Pow(Neg(Var()), Num(2.0))),
+    ("t^2^-1", Pow(Var(), Num(0.5))),
+    ("-t*-t", Mul(Neg(Var()), Neg(Var()))),
+    ("pow(t, 2)^3", Pow(Pow(Var(), Num(2.0)), Num(3.0))),
+    ("sqrt(t)^2", Pow(Sqrt(Var()), Num(2.0))),
+])
+def test_parse_builds_the_tree_of_each_boundary(src, tree):
+    assert parse(src) == tree
+    assert parse(render(tree)) == tree
 
 
 def test_constant_folding():

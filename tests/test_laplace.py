@@ -36,7 +36,7 @@ from choqint.laplace import (
     forward_laplace,
     stehfest_weights,
 )
-from choqint.quadrature import _gauss_nodes
+from choqint.quadrature import MAX_ROW_NODES, _gauss_nodes
 from helpers import beta_integral, sqrt_forward_value
 
 QUADRATIC = "t^2/2"
@@ -536,6 +536,12 @@ class TestVerificationConvolution:
         whole = laplace._convolutions(spied, factor, spans, knots, 16)
         assert len(sizes) == 1
         np.testing.assert_allclose(batched, whole, rtol=1e-15, atol=0.0)
+
+    def test_a_span_above_the_row_cap_is_refused_before_it_is_built(self):
+        kernel, factor, spans, _ = verification_case("derive")
+        knots = np.linspace(0.0, 2.9, MAX_ROW_NODES // 16)
+        with pytest.raises(DivergentIntegralError, match="exceeds the cap"):
+            laplace._convolutions(kernel, factor, spans, knots, 16)
 
 
 class TestCubicSpline:

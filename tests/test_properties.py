@@ -100,6 +100,14 @@ def test_render_parse_evaluation_equivalence(expr, seed):
         assert evaluate(reparsed, float(t)) == want
 
 
+@given(expressions())
+@example(Pow(Neg(Num(0.0)), Num(-1.0)))  # a -0.0 power base, left unfolded
+@settings(max_examples=300, deadline=None)
+def test_render_then_parse_rebuilds_a_parsed_tree(expr):
+    e = parse(render(expr))
+    assert parse(render(e)) == e
+
+
 @given(expressions(differentiable=True), st.floats(min_value=-4.0, max_value=4.0,
                                                    allow_nan=False))
 @example(Div(Num(4.6075462074363026e-179), Var()), 2.206851411416468e-94)

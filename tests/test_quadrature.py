@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choqint import DivergentIntegralError
 from choqint.laplace import TRANSFORM_QUADRATURE
 from choqint.quadrature import (
     DEFAULT_QUADRATURE,
+    MAX_CELL_NODES,
+    MAX_ROW_NODES,
+    QuadratureConfig,
     _gauss_nodes,
     _pass_nodes,
     _pass_rows,
@@ -99,3 +103,18 @@ def test_pass_rows_equal_one_interval_passes_bit_for_bit(ends, cells, grading, n
                                                     grading, nodes)
         assert np.array_equal(cached_points, want_points)
         assert np.array_equal(cached_weights, want_weights)
+
+
+def test_config_caps_the_rule_and_the_first_pass():
+    QuadratureConfig(subintervals=MAX_ROW_NODES // MAX_CELL_NODES,
+                     nodes_per_subinterval=MAX_CELL_NODES)
+    with pytest.raises(ValueError, match="nodes_per_subinterval"):
+        QuadratureConfig(nodes_per_subinterval=MAX_CELL_NODES + 1)
+    with pytest.raises(ValueError, match="first pass"):
+        QuadratureConfig(subintervals=MAX_ROW_NODES // MAX_CELL_NODES + 1,
+                         nodes_per_subinterval=MAX_CELL_NODES)
+
+
+def test_a_row_above_the_cap_is_refused_before_it_is_built():
+    with pytest.raises(DivergentIntegralError, match="exceeds the cap"):
+        _pass_rows(0.0, np.array([1.0]), MAX_ROW_NODES // 16 + 1, 0.5, 16)
