@@ -17,6 +17,7 @@ and, for a distorted Lebesgue measure mu([u, v]) = m(v - u),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -28,14 +29,9 @@ from .capacity import (
     _tau_derivative_grid,
     require_f_plus,
 )
-from .errors import DivergentIntegralError, InvalidDistortionError, InvalidIntervalError
+from .errors import InvalidDistortionError, InvalidIntervalError
 from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    _pass_rows,
-    integrate,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_rows
 
 __all__ = [
     "ChoquetProblem",
@@ -53,19 +49,19 @@ Measure = Union[Distortion, IntervalCapacity]
 #: absolute tolerance, in tau, of the level-set bisection
 BISECTION_TOL = 1e-12
 
-#: most alpha nodes bisected at once by the level-set route: the nodes of
-#: every grid point share one bisection, in batches small enough that the
-#: expression temporaries stay in cache and peak memory stays flat
-LEVEL_SET_BATCH = 8192
 
-
-def as_grid(points) -> np.ndarray:
-    """Validate a finite, strictly increasing evaluation grid."""
+def as_grid(points, a: float) -> np.ndarray:
+    """Validate a finite, strictly increasing evaluation grid that starts at
+    or after the origin ``a``, itself finite."""
+    if not math.isfinite(a):
+        raise ValueError(f"the origin a must be finite, got {a!r}")
     grid = np.asarray(points, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or not np.isfinite(grid).all():
         raise ValueError("grid must be a non-empty 1-d sequence of finite points")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
+    if grid[0] < a:
+        raise ValueError("t_grid must start at or after a")
     return grid
 
 
@@ -84,9 +80,7 @@ class ChoquetProblem:
     t_grid: np.ndarray
 
     def __post_init__(self):
-        grid = as_grid(self.t_grid)
-        if grid[0] < self.a:
-            raise ValueError("t_grid must start at or after a")
+        grid = as_grid(self.t_grid, self.a)
         object.__setattr__(self, "t_grid", grid)
         if isinstance(self.measure, Distortion):
             _require_window(self.measure, float(grid[-1] - self.a))
@@ -101,17 +95,6 @@ def _require_window(d: Distortion, span: float) -> None:
             f"distortion validated on [0, {d.upper!r}], shorter than "
             f"the longest interval t - a = {span!r}"
         )
-
-
-def _batched(fn, out: np.ndarray, cost: int = 1) -> np.ndarray:
-    """out[part] = fn(part) for consecutive slices ``part`` of ``out``'s
-    rows, each of at most LEVEL_SET_BATCH nodes, where a row costs ``cost``
-    nodes (a row that costs more than LEVEL_SET_BATCH goes alone)."""
-    step = max(1, LEVEL_SET_BATCH // cost)
-    for start in range(0, len(out), step):
-        part = slice(start, start + step)
-        out[part] = fn(part)
-    return out
 
 
 def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -153,47 +136,6 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
     return hi
 
 
-def _integrate_on_grid(problem: ChoquetProblem, integrand_of, lo: float, hi: np.ndarray,
-                       cfg: QuadratureConfig) -> np.ndarray:
-    """int_lo^{hi_i} integrand_of(problem, a, t_i) at every t_i of the grid (0
-    where lo = hi_i) by :func:`integrate`'s doubling, stop rule and dot per
-    point.  A pass sweeps batches of whole rows of at most LEVEL_SET_BATCH
-    nodes (a larger row goes alone, evaluated LEVEL_SET_BATCH at a time)."""
-    a, ts, grading = problem.a, problem.t_grid, cfg.endpoint_grading
-    per_cell = cfg.nodes_per_subinterval
-
-    def grid_pass(points: np.ndarray, cells: int) -> np.ndarray:
-        per_point = cells * per_cell
-
-        def rows(part: slice) -> list:
-            nodes, weights = _pass_rows(lo, hi[points[part]], cells, grading, per_cell)
-            owners, flat = np.repeat(ts[points[part]], per_point), nodes.reshape(-1)
-            # each slice's values overwrite the nodes they came from
-            _batched(lambda s: integrand_of(problem, a, owners[s])(flat[s]), flat)
-            return [float(row @ w) for row, w in zip(nodes, weights)]
-
-        return _batched(rows, np.empty(points.size), cost=per_point)
-
-    cells = cfg.subintervals
-    out = np.zeros(ts.size)
-    pending = np.flatnonzero(hi != lo)
-    if not pending.size:
-        return out
-    prev = grid_pass(pending, cells)
-    for _ in range(cfg.max_refinements):
-        cells *= 2
-        cur = grid_pass(pending, cells)
-        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (1.0 + np.abs(cur))
-        out[pending[done]] = cur[done]
-        pending, prev = pending[~done], cur[~done]
-        if not pending.size:
-            return out
-    raise DivergentIntegralError(
-        f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings "
-        f"at t = {float(ts[pending[0]])!r}"
-    )
-
-
 def _level_integrand(problem: ChoquetProblem, a: float, t: float | np.ndarray):
     """mu([s_alpha, t]) as a function of alpha in [g(a), g(t)]."""
     return lambda alphas: problem.measure.evaluate(_level_points(problem.g, a, alphas, t), t)
@@ -210,13 +152,13 @@ def choquet_level_set(problem: ChoquetProblem,
     """
     a, g, ts = problem.a, problem.g, problem.t_grid
     g_a = float(evaluate(g, a))
-    g_ts = _batched(lambda part: evaluate(g, ts[part]), np.empty(ts.size))
-    values = g_a * _batched(lambda part: problem.measure.evaluate(a, ts[part]),
-                            np.empty(ts.size))
+    g_ts = np.broadcast_to(evaluate(g, ts), ts.shape)
+    values = g_a * np.broadcast_to(problem.measure.evaluate(a, ts), ts.shape)
     values[ts == a] = 0.0
     open_ = (ts > a) & (g_ts > g_a)
-    values[open_] += _integrate_on_grid(problem, _level_integrand, g_a,
-                                        np.where(open_, g_ts, g_a), cfg)[open_]
+    values[open_] += integrate_rows(
+        lambda rows, alphas: _level_integrand(problem, a, ts[rows])(alphas), g_a,
+        np.where(open_, g_ts, g_a), cfg, at=ts)[open_]
     return values
 
 
@@ -253,16 +195,18 @@ def choquet_convolution(problem: ChoquetProblem,
     dtau at every point of the problem's grid."""
     if not isinstance(problem.measure, Distortion):
         raise TypeError("convolution route requires a distorted Lebesgue measure")
-    return _integrate_on_grid(problem, _convolution_integrand, 0.0,
-                              problem.t_grid - problem.a, cfg)
+    a, ts = problem.a, problem.t_grid
+    return integrate_rows(lambda rows, u: _convolution_integrand(problem, a, ts[rows])(u),
+                          0.0, ts - a, cfg, at=ts)
 
 
 def choquet_general(problem: ChoquetProblem,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """General-capacity route, - int_a^t d/dtau mu([tau, t]) g(tau) dtau at
     every point of the problem's grid."""
-    return _integrate_on_grid(problem, _general_integrand, 0.0, problem.t_grid - problem.a,
-                              cfg)
+    a, ts = problem.a, problem.t_grid
+    return integrate_rows(lambda rows, u: _general_integrand(problem, a, ts[rows])(u),
+                          0.0, ts - a, cfg, at=ts)
 
 
 class HereditaryCheck(NamedTuple):
@@ -290,13 +234,14 @@ def check_hereditary(problem: ChoquetProblem, a_split: float,
         )
     integrand_of = (_convolution_integrand if isinstance(problem.measure, Distortion)
                     else _general_integrand)
-    whole = integrand_of(problem, problem.a, t)
-    lhs = integrate(whole, 0.0, t - problem.a, cfg)
-    # the genuine integral over [a_split, t] restricts the certified g; it
-    # is empty, so 0, when a_split = t
-    main = integrate(integrand_of(problem, a_split, t), 0.0, t - a_split, cfg)
-    # [a, a_split] is u in [t - a_split, t - a]
-    complement = integrate(whole, t - a_split, t - problem.a, cfg)
+    # rows: the whole of [a, t]; the genuine integral over [a_split, t], which
+    # restricts the certified g (empty, so 0, when a_split = t); and the
+    # complement [a, a_split], that is u in [t - a_split, t - a]
+    origins = np.array([problem.a, a_split, problem.a])
+    lhs, main, complement = integrate_rows(
+        lambda rows, u: integrand_of(problem, origins[rows], t)(u),
+        np.array([0.0, 0.0, t - a_split]), np.array([t - problem.a, t - a_split, t - problem.a]),
+        cfg, at=np.full(3, t)).tolist()
     rhs = complement + main
     return HereditaryCheck(lhs, rhs, abs(lhs - rhs))
 

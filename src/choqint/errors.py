@@ -23,13 +23,15 @@ class ParseError(ChoqintError):
 class DomainError(ChoqintError):
     """Evaluation left the mathematical domain (sqrt of a negative, ln of a
     non-positive, zero raised to a negative power, division by zero, or an
-    overflow to a non-finite value)."""
+    overflow to a non-finite value).  The message shows at most the first
+    200 characters of the subexpression."""
 
     def __init__(self, subexpression: str, point: float, reason: str):
         self.subexpression = subexpression
         self.point = point
         self.reason = reason
-        super().__init__(f"{reason} in '{subexpression}' at t = {point!r}")
+        shown = subexpression if len(subexpression) <= 200 else subexpression[:200] + "..."
+        super().__init__(f"{reason} in '{shown}' at t = {point!r}")
 
 
 class NonDifferentiableError(ChoqintError):

@@ -35,7 +35,6 @@ from .capacity import (
 )
 from .choquet import (
     ChoquetProblem,
-    _batched,
     _rebased,
     _require_window,
     as_grid,
@@ -49,13 +48,7 @@ from .errors import (
     OriginNotZeroError,
 )
 from .exprlang import Expr, evaluate
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    _gauss_nodes,
-    _require_row,
-    integrate,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, convolve, integrate
 
 __all__ = [
     "InversionConfig",
@@ -347,11 +340,9 @@ class SolveReport:
 def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
     """Inversion at t - a = 0 is undefined: a grid that starts exactly at a
     is nudged to a + span/1000."""
-    grid = as_grid(t_grid)
+    grid = as_grid(t_grid, a)
     if grid.size < 2:
         raise ValueError("solver grid needs at least 2 points")
-    if grid[0] < a:
-        raise ValueError("grid must start at or after a")
     if grid[0] > a:
         return grid
     span = grid[-1] - grid[0]
@@ -397,38 +388,6 @@ def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: flo
     if ok and residual <= residual_tol:
         return Verdict.EXISTS
     return Verdict.INCONCLUSIVE
-
-
-def _convolutions(kernel, factor, spans: np.ndarray, knots: np.ndarray,
-                  nodes: int) -> np.ndarray:
-    """int_0^u kernel(w) factor(u - w) dw at every offset u of ``spans``,
-    where ``factor`` is only piecewise smooth with the given knots (offsets
-    in [0, u]): Gauss-Legendre cellwise, never across a knot.  The cells of
-    u are cut at 0, u and u - k for the knots k, and the nodes of every
-    span go through ``kernel`` and ``factor`` together, LEVEL_SET_BATCH
-    nodes at a time."""
-    # a span has at most one cell more than there are knots
-    cost = (knots.size + 1) * nodes
-    _require_row(cost)
-    x, w = _gauss_nodes(nodes)
-
-    def convolve(part: slice) -> np.ndarray:
-        us = spans[part][:, None]
-        cuts = np.sort(np.concatenate(
-            (np.zeros_like(us), us, us - np.clip(knots, 0.0, us)), axis=1), axis=1)
-        lo, hi = cuts[:, :-1], cuts[:, 1:]
-        # equal cuts leave empty cells: skipping them keeps nodes off the
-        # cuts, where a kernel singular at w = 0 would give 0 * inf
-        cells = hi > lo
-        mids, halves = 0.5 * (hi + lo)[cells], 0.5 * (hi - lo)[cells]
-        owners = np.repeat(np.nonzero(cells)[0], nodes)
-        ws = (mids[:, None] + halves[:, None] * x).ravel()
-        terms = (np.asarray(kernel(ws), dtype=float)
-                 * np.asarray(factor(us[owners, 0] - ws), dtype=float)
-                 * (halves[:, None] * w).ravel())
-        return np.bincount(owners, weights=terms, minlength=us.shape[0])
-
-    return _batched(convolve, np.empty(spans.size), cost=cost)
 
 
 def _require_tolerances(**tolerances: float) -> None:
@@ -485,7 +444,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     offset) and the kept report offsets: the report values are reused and
     only the five ladder offsets are inverted again.  The spline is
     convolved against ``kernel`` at every kept offset in one batched pass
-    (see ``_convolutions``); f must be reproduced within
+    (see ``quadrature.convolve``); f must be reproduced within
     ``residual_threshold`` for the verdict Exists.  The spline's error is
     fourth order, so the residual follows the error of the recovery rather
     than the interpolant's.  With ``recovers_m`` the samples are a
@@ -496,10 +455,10 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     """
     _require_tolerances(residual_threshold=residual_threshold,
                         decisive_ratio=decisive_ratio, monotone_slack=monotone_slack)
+    grid = _inversion_grid(a, t_grid)
     f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
         raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")
-    grid = _inversion_grid(a, t_grid)
     for name, h in (("f", f), *admissible):
         require_f_plus(name, h, a, grid[-1])
 
@@ -531,8 +490,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     spline = _CubicSpline(knots_u, np.concatenate(([at_zero], ladder_v, kept_values)))
     # identify convolves the step density of m against g, derive g against m'
     recovered = spline.derivative if recovers_m else spline
-    reproduced = _convolutions(kernel, recovered, kept_u, knots_u,
-                               quadrature.nodes_per_subinterval)
+    reproduced = convolve(kernel, recovered, kept_u, knots_u, quadrature.nodes_per_subinterval)
     target = evaluate(f, grid[kept])
     residual = float(np.max(np.abs(reproduced - target) / (1.0 + np.abs(target))))
 
@@ -557,7 +515,7 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
     interval, t_grid[-1] - a, or :class:`InvalidDistortionError` is raised
     before any transform is taken.
     """
-    _require_window(d, float(as_grid(t_grid)[-1]) - a)
+    _require_window(d, float(as_grid(t_grid, a)[-1]) - a)
     M = transform_of(d.m)
     return _solve_inverse(
         f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,

@@ -16,13 +16,18 @@ import numpy as np
 
 from .errors import DivergentIntegralError
 
-__all__ = ["QuadratureConfig", "graded_mesh", "composite_gauss_legendre", "integrate"]
+__all__ = ["QuadratureConfig", "graded_mesh", "composite_gauss_legendre", "integrate",
+           "integrate_rows", "convolve"]
 
 #: the most Gauss-Legendre nodes per cell (a finer mesh is the cheaper way
 #: to more accuracy), and the most nodes of one row: a pass over one
 #: interval, or one span of a convolution
 MAX_CELL_NODES = 128
 MAX_ROW_NODES = 2 ** 22
+
+#: most nodes a many-interval integral evaluates at once: batches small
+#: enough that the expression temporaries stay in cache and peak memory stays flat
+BATCH_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -84,21 +89,38 @@ def _require_row(nodes: int) -> None:
             f"a quadrature row of {nodes} nodes exceeds the cap of {MAX_ROW_NODES}")
 
 
+def _batched(fn, out: np.ndarray, cost: int = 1) -> np.ndarray:
+    """out[part] = fn(part) for consecutive slices ``part`` of ``out``'s
+    rows, each of at most BATCH_NODES nodes, where a row costs ``cost``
+    nodes (a row that costs more than BATCH_NODES goes alone)."""
+    step = max(1, BATCH_NODES // cost)
+    for start in range(0, len(out), step):
+        part = slice(start, start + step)
+        out[part] = fn(part)
+    return out
+
+
+def _cell_nodes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes of every cell [lo, hi] along a new last axis, and
+    their folded weights (cell half-width times Gauss weight)."""
+    x, w = _gauss_nodes(nodes)
+    halves = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo)[..., None] + halves[..., None] * x, halves[..., None] * w
+
+
 def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
                nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of one pass over each [lo, hi_i] (lo a scalar or like hi), row i
-    cell by cell, and folded weights (cell half-width times Gauss weight):
-    a row's pass is one dot, and elementwise arithmetic keeps rows apart."""
+    cell by cell, and folded weights: a row's pass is one dot, and
+    elementwise arithmetic keeps rows apart."""
     _require_row(cells * nodes)
     mesh = graded_mesh(lo, hi, cells, grading)
-    x, w = _gauss_nodes(nodes)
-    mids = 0.5 * (mesh[:, 1:] + mesh[:, :-1])
-    halves = 0.5 * (mesh[:, 1:] - mesh[:, :-1])
-    points = (mids[..., None] + halves[..., None] * x).reshape(mesh.shape[0], -1)
+    points, weights = _cell_nodes(mesh[:, :-1], mesh[:, 1:], nodes)
+    points = points.reshape(mesh.shape[0], -1)
     # rounding in tiny graded cells can push a node an ulp past an endpoint,
     # which matters for integrands defined only inside [lo, hi]
     np.clip(points, np.minimum(lo, hi)[:, None], np.maximum(lo, hi)[:, None], out=points)
-    return points, (halves[..., None] * w).reshape(points.shape)
+    return points, weights.reshape(points.shape)
 
 
 # a transform revisits the passes over [0, T] of its few windows T for
@@ -138,7 +160,9 @@ def integrate(
 
     Stops once |change| <= refinement_tolerance * (absolute_floor + |value|);
     a failure to converge within ``max_refinements`` raises
-    :class:`DivergentIntegralError`.
+    :class:`DivergentIntegralError`.  The transforms integrate here: their
+    passes over [0, T] repeat for every s, and a cached pass costs 0.4 us
+    against 100 us to build a 96-cell row for :func:`integrate_rows`.
     """
     if b == a:
         return 0.0
@@ -153,3 +177,73 @@ def integrate(
     raise DivergentIntegralError(
         f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings"
     )
+
+
+def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: np.ndarray,
+                   cfg: QuadratureConfig = DEFAULT_QUADRATURE, *, at: np.ndarray) -> np.ndarray:
+    """int_{lo_i}^{hi_i} fn(i, x) dx for every row i (0 where lo_i = hi_i; lo
+    a scalar or like hi), where ``fn(rows, x)`` gets each node's row.  Each
+    row is :func:`integrate`'s value, bit for bit: its nodes, its dot and its
+    stop rule with floor 1.  A pass sweeps batches of whole rows of at most
+    BATCH_NODES nodes (a larger row goes alone, evaluated BATCH_NODES at a
+    time).  The first row that does not converge raises, named by ``at[i]``."""
+    lo, per_cell = np.broadcast_to(lo, hi.shape), cfg.nodes_per_subinterval
+
+    def rows_pass(pending: np.ndarray, cells: int) -> np.ndarray:
+        per_row = cells * per_cell
+
+        def rows(part: slice) -> list:
+            ids = pending[part]
+            nodes, weights = _pass_rows(lo[ids], hi[ids], cells, cfg.endpoint_grading, per_cell)
+            owners, flat = np.repeat(ids, per_row), nodes.reshape(-1)
+            # each slice's values overwrite the nodes they came from
+            _batched(lambda s: fn(owners[s], flat[s]), flat)
+            return [float(row @ w) for row, w in zip(nodes, weights)]
+
+        return _batched(rows, np.empty(pending.size), cost=per_row)
+
+    cells = cfg.subintervals
+    out = np.zeros(hi.shape)
+    pending = np.flatnonzero(hi != lo)
+    if not pending.size:
+        return out
+    prev = rows_pass(pending, cells)
+    for _ in range(cfg.max_refinements):
+        cells *= 2
+        cur = rows_pass(pending, cells)
+        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (1.0 + np.abs(cur))
+        out[pending[done]] = cur[done]
+        pending, prev = pending[~done], cur[~done]
+        if not pending.size:
+            return out
+    raise DivergentIntegralError(f"quadrature did not stabilize after {cfg.max_refinements} "
+                                 f"mesh doublings at t = {float(at[pending[0]])!r}")
+
+
+def convolve(kernel, factor, spans: np.ndarray, knots: np.ndarray, nodes: int) -> np.ndarray:
+    """int_0^u kernel(w) factor(u - w) dw at every offset u of ``spans``,
+    where ``factor`` is only piecewise smooth with the given knots (offsets
+    in [0, u]): Gauss-Legendre cellwise, never across a knot.  The cells of
+    u are cut at 0, u and u - k for the knots k, and the nodes of every
+    span go through ``kernel`` and ``factor`` together, BATCH_NODES
+    nodes at a time."""
+    # a span has at most one cell more than there are knots
+    cost = (knots.size + 1) * nodes
+    _require_row(cost)
+
+    def spans_pass(part: slice) -> np.ndarray:
+        us = spans[part][:, None]
+        cuts = np.sort(np.concatenate(
+            (np.zeros_like(us), us, us - np.clip(knots, 0.0, us)), axis=1), axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        # equal cuts leave empty cells: skipping them keeps nodes off the
+        # cuts, where a kernel singular at w = 0 would give 0 * inf
+        cells = hi > lo
+        ws, weights = _cell_nodes(lo[cells], hi[cells], nodes)
+        owners = np.repeat(np.nonzero(cells)[0], nodes)
+        ws = ws.ravel()
+        terms = (np.asarray(kernel(ws), dtype=float)
+                 * np.asarray(factor(us[owners, 0] - ws), dtype=float) * weights.ravel())
+        return np.bincount(owners, weights=terms, minlength=us.shape[0])
+
+    return _batched(spans_pass, np.empty(spans.size), cost=cost)

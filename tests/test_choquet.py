@@ -25,7 +25,8 @@ from choqint import (
     shift_to_origin,
 )
 from choqint import capacity, choquet, quadrature
-from choqint.choquet import BISECTION_TOL, LEVEL_SET_BATCH
+from choqint.choquet import BISECTION_TOL
+from choqint.quadrature import BATCH_NODES
 from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_monotone_problem
 
 
@@ -34,7 +35,7 @@ class TestProblemConstruction:
                                         [-np.inf, 0.0]])
     def test_grid_points_must_be_finite(self, points):
         with pytest.raises(ValueError, match="finite"):
-            choquet.as_grid(points)
+            choquet.as_grid(points, -1.0)
 
     def test_grid_must_be_increasing(self):
         d = Distortion.from_expression("t", upper=2.0)
@@ -58,6 +59,12 @@ class TestProblemConstruction:
         with pytest.raises(InvalidDistortionError, match=r"\[0, 1\.0\].* = 3\.0"):
             ChoquetProblem(0.0, parse("t"), d, np.array([0.0, 3.0]))
         assert ChoquetProblem(0.0, parse("t"), d, np.array([0.0, 1.0])).measure is d
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_origin_must_be_finite(self, a):
+        d = Distortion.from_expression("t", upper=2.0)
+        with pytest.raises(ValueError, match=r"origin a must be finite, got (nan|inf|-inf)"):
+            ChoquetProblem(a, parse("t"), d, np.array([0.0, 1.0]))
 
     def test_general_capacity_has_no_window(self):
         cap = distorted_capacity(Distortion.from_expression("t", upper=1.0))
@@ -99,11 +106,11 @@ def spy_sizes(monkeypatch) -> tuple[list, list]:
             return _fn(expr, t)
         monkeypatch.setattr(module, "evaluate", spy)
 
-    def build_spy(lo, hi, cells, grading, nodes, _fn=choquet._pass_rows):
+    def build_spy(lo, hi, cells, grading, nodes, _fn=quadrature._pass_rows):
         builds.append((hi.size, hi.size * cells * nodes))
         return _fn(lo, hi, cells, grading, nodes)
 
-    monkeypatch.setattr(choquet, "_pass_rows", build_spy)
+    monkeypatch.setattr(quadrature, "_pass_rows", build_spy)
     return sizes, builds
 
 
@@ -182,7 +189,7 @@ class TestLevelSetGrid:
             sizes, _ = spy_sizes(monkeypatch)
             values = route(p)
             assert len(sizes) > 1, route.__name__
-            assert LEVEL_SET_BATCH - 640 < max(sizes) <= LEVEL_SET_BATCH, route.__name__
+            assert BATCH_NODES - 640 < max(sizes) <= BATCH_NODES, route.__name__
             monkeypatch.undo()
             assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=rel)
 
@@ -194,7 +201,7 @@ class TestLevelSetGrid:
         p = ChoquetProblem(a, parse(f"pow(t - {a!r}, 1.5)"), d, np.array([a + 2.0]))
         assert np.spacing(a) > BISECTION_TOL
         steps, passes = [], []
-        real_evaluate, real_pass_rows = choquet.evaluate, choquet._pass_rows
+        real_evaluate, real_pass_rows = choquet.evaluate, quadrature._pass_rows
 
         def count_steps(expr, t):
             if np.size(t) > 1 and expr is p.g:
@@ -206,7 +213,7 @@ class TestLevelSetGrid:
             return real_pass_rows(*args)
 
         monkeypatch.setattr(choquet, "evaluate", count_steps)
-        monkeypatch.setattr(choquet, "_pass_rows", count_passes)
+        monkeypatch.setattr(quadrature, "_pass_rows", count_passes)
         (value,) = choquet_level_set(p)
         monkeypatch.undo()
         assert len(steps) < 60 * len(passes)
@@ -262,7 +269,8 @@ class TestGridIntegrator:
     def test_routes_equal_the_per_point_integrals_bit_for_bit(self, a, m, g, capacity_measure,
                                                               spans):
         d = Distortion.from_expression(m, upper=3.0)
-        grid = np.concatenate([[a], a + np.sort(spans)])
+        # distinct spans can round to one point far from 0
+        grid = np.unique(np.concatenate([[a], a + np.array(spans)]))
         p = ChoquetProblem(a, parse(g.replace("A", repr(a))),
                            distorted_capacity(d) if capacity_measure else d, grid)
         want = {"level_set": level_set_per_point_values(p),
@@ -299,8 +307,8 @@ class TestGridIntegrator:
             sizes, builds = spy_sizes(monkeypatch)
             values = route(p)
             monkeypatch.undo()
-            assert max(sizes) <= LEVEL_SET_BATCH, route.__name__
-            assert max(nodes for _, nodes in builds) <= LEVEL_SET_BATCH, route.__name__
+            assert max(sizes) <= BATCH_NODES, route.__name__
+            assert max(nodes for _, nodes in builds) <= BATCH_NODES, route.__name__
             assert values[-1] == pytest.approx(sqrt_forward_value(1.0, 3.0), rel=1e-7)
 
     def test_a_row_larger_than_the_batch_is_built_alone(self, monkeypatch):
@@ -311,9 +319,9 @@ class TestGridIntegrator:
             sizes, builds = spy_sizes(monkeypatch)
             route(p, cfg)
             monkeypatch.undo()
-            assert max(sizes) == LEVEL_SET_BATCH
+            assert max(sizes) == BATCH_NODES
             assert {rows for rows, _ in builds} == {1}
-            assert min(nodes for _, nodes in builds) > LEVEL_SET_BATCH
+            assert min(nodes for _, nodes in builds) > BATCH_NODES
 
     @pytest.mark.parametrize("route", sorted(GRID_ROUTES))
     def test_no_refinement_names_the_first_point(self, route):
@@ -527,6 +535,22 @@ class TestHereditary:
 
         monkeypatch.setattr(capacity, "check_f_plus", refuse)
         assert check_hereditary(p, 2.0) == expected
+
+    @pytest.mark.parametrize("where", [0.0, 0.4, 1.0], ids=["at-a", "mid", "at-t"])
+    @pytest.mark.parametrize("general", [False, True], ids=["distortion", "capacity"])
+    @pytest.mark.parametrize("a", [0.0, -1e3])
+    def test_each_piece_is_its_integrate_value_bit_for_bit(self, a, general, where):
+        d = Distortion.from_expression("t + 0.5*t^2", upper=3.0)
+        p = ChoquetProblem(a, parse(f"pow(t - {a!r}, 1.5) + 1"),
+                           distorted_capacity(d) if general else d, np.array([a, a + 2.5]))
+        t, split = a + 2.5, a + 2.5 * where
+        integrand_of = choquet._general_integrand if general else choquet._convolution_integrand
+        lhs = quadrature.integrate(integrand_of(p, a, t), 0.0, t - a)
+        main = quadrature.integrate(integrand_of(p, split, t), 0.0, t - split)
+        complement = quadrature.integrate(integrand_of(p, a, t), t - split, t - a)
+        result = check_hereditary(p, split)
+        assert result == (lhs, complement + main, abs(lhs - (complement + main)))
+        assert all(type(value) is float for value in result)
 
     def test_split_outside_interval_rejected(self):
         p = sqrt_problem(0.0, [0.0, 2.0])

@@ -213,6 +213,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "exceeds the cap of 4194304" in err and "Traceback" not in err
 
+    def test_domain_error_of_a_long_input_is_one_short_line(self, capsys):
+        # a balanced sum of 4096 t, 24.6 KB of argv: exp overflows at t = 1
+        def balanced(n):
+            return "t" if n == 1 else f"({balanced(n // 2)} + {balanced(n - n // 2)})"
+
+        argv = ["integrate", "--g", f"exp(800*{balanced(4096)})", "--m", "t", "--t", "0:1:3"]
+        assert main_exit_code(argv) == 4
+        err = capsys.readouterr().err
+        assert "non-finite result" in err and "Traceback" not in err
+        assert len(err) < 2048
+
     def test_grid_before_origin_is_2(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t", "--a", "1",
                        "--t", "0:2:4")

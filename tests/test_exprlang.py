@@ -86,6 +86,23 @@ def test_domain_error_reports_offending_point():
     assert "sqrt" in err.value.subexpression
 
 
+def test_domain_error_message_keeps_a_short_subexpression_whole():
+    with pytest.raises(DomainError) as err:
+        evaluate(parse("sqrt(40 - t)"), 64.0)
+    assert str(err.value) == "sqrt of a negative in 'sqrt(40.0 - t)' at t = 64.0"
+
+
+def test_domain_error_message_cuts_a_long_subexpression():
+    # the derivative of 198 nested powers renders to about 119,000 characters
+    d = differentiate(parse("(" * 198 + "t" + ")^1.5" * 198))
+    with pytest.raises(DomainError) as err:
+        evaluate(d, 1.1)
+    message = str(err.value)
+    assert len(message) < 400
+    assert len(err.value.subexpression) > 100_000
+    assert f"'{err.value.subexpression[:200]}...' at t = " in message
+
+
 @pytest.mark.parametrize("src", [
     "",
     "(",

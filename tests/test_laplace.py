@@ -26,7 +26,7 @@ from choqint import (
     solve_problem3,
     transform_of,
 )
-from choqint import choquet, laplace
+from choqint import laplace, quadrature
 from choqint.choquet import _rebased
 from choqint.laplace import (
     TAIL_BOUND,
@@ -36,7 +36,7 @@ from choqint.laplace import (
     forward_laplace,
     stehfest_weights,
 )
-from choqint.quadrature import MAX_ROW_NODES, _gauss_nodes
+from choqint.quadrature import MAX_ROW_NODES, _gauss_nodes, convolve
 from helpers import beta_integral, sqrt_forward_value
 
 QUADRATIC = "t^2/2"
@@ -449,6 +449,23 @@ class TestSolverTolerances:
             solve(**{name: value})
 
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solver", ["problem1", "problem2", "problem3"])
+    def test_non_finite_origin_rejected(self, solver, a, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform was taken")
+
+        monkeypatch.setattr(laplace, "forward_laplace", refuse)
+        f, g, grid = parse("pow(t - 1, 3.5)"), parse("sqrt(t - 1)"), np.linspace(1.2, 3.0, 5)
+        solve = {
+            "problem1": lambda: solve_problem1(g, quad_distortion(), a, grid),
+            "problem2": lambda: solve_problem2(f, quad_distortion(), a, grid),
+            "problem3": lambda: solve_problem3(f, g, a, grid),
+        }[solver]
+        with pytest.raises(ValueError, match="origin a must be finite"):
+            solve()
+
+
 class TestVerificationWork:
     """A solve inverts its report points once and a ladder of five offsets in
     the leading gap again; the verification spline needs nothing else."""
@@ -476,7 +493,7 @@ class TestVerificationWork:
 
 
 def segment_convolution(kernel, factor, span, knots, nodes=16):
-    """Oracle for laplace._convolutions, one span at a time: int_0^span
+    """Oracle for quadrature.convolve, one span at a time: int_0^span
     kernel(w) factor(span - w) dw, Gauss-Legendre cellwise, never across a
     knot of ``factor``."""
     if span <= 0.0:
@@ -513,7 +530,7 @@ class TestVerificationConvolution:
     @pytest.mark.parametrize("kind", ["derive", "identify"])
     def test_matches_the_per_span_oracle(self, kind):
         kernel, factor, spans, knots = verification_case(kind)
-        got = laplace._convolutions(kernel, factor, spans, knots, 16)
+        got = convolve(kernel, factor, spans, knots, 16)
         want = [segment_convolution(kernel, factor, u, knots) for u in spans]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -528,12 +545,12 @@ class TestVerificationConvolution:
 
         # 56 knots cap a span at 57 cells of 16 nodes, so a cap of 2000
         # nodes takes two spans a batch
-        monkeypatch.setattr(choquet, "LEVEL_SET_BATCH", 2000)
-        batched = laplace._convolutions(spied, factor, spans, knots, 16)
+        monkeypatch.setattr(quadrature, "BATCH_NODES", 2000)
+        batched = convolve(spied, factor, spans, knots, 16)
         assert len(sizes) == 25 and max(sizes) <= 2000
-        monkeypatch.setattr(choquet, "LEVEL_SET_BATCH", 10 ** 9)
+        monkeypatch.setattr(quadrature, "BATCH_NODES", 10 ** 9)
         sizes.clear()
-        whole = laplace._convolutions(spied, factor, spans, knots, 16)
+        whole = convolve(spied, factor, spans, knots, 16)
         assert len(sizes) == 1
         np.testing.assert_allclose(batched, whole, rtol=1e-15, atol=0.0)
 
@@ -541,7 +558,7 @@ class TestVerificationConvolution:
         kernel, factor, spans, _ = verification_case("derive")
         knots = np.linspace(0.0, 2.9, MAX_ROW_NODES // 16)
         with pytest.raises(DivergentIntegralError, match="exceeds the cap"):
-            laplace._convolutions(kernel, factor, spans, knots, 16)
+            convolve(kernel, factor, spans, knots, 16)
 
 
 class TestCubicSpline:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqint import DivergentIntegralError
+from choqint import DivergentIntegralError, quadrature
 from choqint.laplace import TRANSFORM_QUADRATURE
 from choqint.quadrature import (
     DEFAULT_QUADRATURE,
@@ -18,6 +18,8 @@ from choqint.quadrature import (
     _pass_rows,
     composite_gauss_legendre,
     graded_mesh,
+    integrate,
+    integrate_rows,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -118,3 +120,77 @@ def test_config_caps_the_rule_and_the_first_pass():
 def test_a_row_above_the_cap_is_refused_before_it_is_built():
     with pytest.raises(DivergentIntegralError, match="exceeds the cap"):
         _pass_rows(0.0, np.array([1.0]), MAX_ROW_NODES // 16 + 1, 0.5, 16)
+
+
+def row_integrand(scale, shift):
+    """A family of integrands, one per row: scale_i sqrt|x - shift_i| + x^2,
+    as ``integrate_rows`` takes it and as ``integrate`` takes row i alone."""
+    def rows_fn(rows, x):
+        return scale[rows] * np.sqrt(np.abs(x - shift[rows])) + x * x
+
+    def one_fn(i):
+        return lambda x: scale[i] * np.sqrt(np.abs(x - shift[i])) + x * x
+
+    return rows_fn, one_fn
+
+
+class TestIntegrateRows:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
+                                   st.floats(0.1, 4.0), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=6),
+           per_row_lo=st.booleans())
+    def test_each_row_is_its_integrate_value_bit_for_bit(self, rows, per_row_lo):
+        lo = np.array([row[0] for row in rows]) if per_row_lo else rows[0][0]
+        hi = np.broadcast_to(lo, len(rows)) + np.array([row[1] for row in rows])
+        rows_fn, one_fn = row_integrand(np.array([row[2] for row in rows]),
+                                        np.array([row[3] for row in rows]))
+        got = integrate_rows(rows_fn, lo, hi, at=hi)
+        assert got.shape == hi.shape
+        for i in range(len(rows)):
+            assert got[i] == integrate(one_fn(i), float(np.broadcast_to(lo, hi.shape)[i]),
+                                       float(hi[i])), i
+
+    def test_empty_rows_are_zero_and_never_evaluated(self):
+        lo, hi = np.array([0.0, 1.0, -2.0, 3.0]), np.array([0.0, 2.5, -2.0, 4.0])
+        seen = []
+
+        def fn(rows, x):
+            seen.extend(np.unique(rows).tolist())
+            return x * x
+
+        got = integrate_rows(fn, lo, hi, at=hi)
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert set(seen) == {1, 3}
+        assert got[1] == integrate(lambda x: x * x, 1.0, 2.5)
+        assert got[3] == integrate(lambda x: x * x, 3.0, 4.0)
+        assert not integrate_rows(fn, 1.0, np.array([1.0, 1.0]), at=lo[:2]).any()
+
+    def test_batches_hold_whole_rows(self, monkeypatch):
+        # rows of 640 nodes, then 1280: a batch of 8000 nodes holds 12, then 6
+        sizes = []
+
+        def fn(rows, x):
+            sizes.append(x.size)
+            return np.sqrt(x)
+
+        monkeypatch.setattr(quadrature, "BATCH_NODES", 8000)
+        hi = np.linspace(0.5, 3.0, 30)
+        batched = integrate_rows(fn, 0.0, hi, at=hi)
+        assert max(sizes) <= 8000 and max(sizes) % 640 == 0
+        monkeypatch.setattr(quadrature, "BATCH_NODES", 10 ** 9)
+        assert np.array_equal(integrate_rows(fn, 0.0, hi, at=hi), batched)
+
+    def test_the_first_unconverged_row_is_named(self):
+        cfg = QuadratureConfig(max_refinements=0)
+        hi = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(DivergentIntegralError, match=r"doublings at t = 7\.0$"):
+            integrate_rows(lambda rows, x: np.sqrt(x), 0.0, hi, cfg, at=np.array([5.0, 7.0, 9.0]))
+
+    def test_a_row_above_the_cap_raises_its_own_error(self, monkeypatch):
+        # the doubled pass, 1280 nodes, is above a cap of 1000
+        monkeypatch.setattr(quadrature, "MAX_ROW_NODES", 1000)
+        cfg = QuadratureConfig(refinement_tolerance=1e-300)
+        with pytest.raises(DivergentIntegralError, match="of 1280 nodes exceeds the cap of 1000"):
+            integrate_rows(lambda rows, x: np.abs(x - 0.3), 0.0, np.array([1.0]), cfg,
+                           at=np.array([1.0]))
