@@ -18,6 +18,9 @@ independent convolution of the recovered samples before a verdict is issued.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,7 +50,7 @@ from .errors import (
     NonPositiveSError,
     OriginNotZeroError,
 )
-from .exprlang import Expr, evaluate
+from .exprlang import Expr, evaluate, render
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, convolve, integrate
 
 __all__ = [
@@ -80,6 +83,9 @@ TRANSFORM_QUADRATURE = QuadratureConfig(
     max_refinements=7,
     endpoint_grading=0.5,
 )
+
+#: transform values kept between solves, over every kept expression
+KEPT_TRANSFORM_VALUES = 8192
 
 #: relative defect allowed before a recovered solution is rejected
 RESIDUAL_THRESHOLD = 1e-2
@@ -282,22 +288,63 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
     return transform_to(2.0 ** k_refined)
 
 
+class _KeptTransforms:
+    """The s -> value memos of transformed expressions, kept across solves.
+
+    A memo is keyed by ``render(h)``, the text that evaluates identically,
+    not by ``Expr`` equality: ``t*0.0 == t*-0.0``, yet the two evaluate to
+    zeros of opposite sign.  A transform depends only on how h evaluates
+    and on s, so a kept value has the bits of a fresh one.  A closure's
+    values are kept under its key, as the most recently used, when the
+    closure is dropped at the end of its solve; then whole memos are
+    dropped, least recently used first, until at most ``cap`` values are
+    kept (a memo above the cap on its own is not kept).  So a solve never
+    loses values under it, and taking a value costs one dict store.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.memos: OrderedDict[str, dict[float, float]] = OrderedDict()
+        # solves in several threads share the memos
+        self.lock = threading.Lock()
+
+    def keep(self, key: str, memo: dict[float, float]) -> None:
+        if not 0 < len(memo) <= self.cap:
+            return
+        with self.lock:
+            self.memos.setdefault(key, memo).update(memo)
+            self.memos.move_to_end(key)
+            kept = sum(map(len, self.memos.values()))
+            while kept > self.cap:
+                kept -= len(self.memos.popitem(last=False)[1])
+
+
+_KEPT = _KeptTransforms(KEPT_TRANSFORM_VALUES)
+
+
 def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
     """Memoized s -> L(h)(s), the working representation of a transform.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
     h is evaluated once per truncation rung and once per quadrature pass,
-    whatever the number of s served.  The samples live as long as the
-    closure, which a solver keeps for one solve.
+    whatever the number of s served; the samples live as long as the
+    closure, which a solver keeps for one solve.  The values of an ``Expr``
+    outlive the closure, up to ``KEPT_TRANSFORM_VALUES`` of them in the
+    process (see ``_KeptTransforms``), so a later solve with the same
+    expression, a distortion say, transforms only the s it has not seen.
+    A callable's memo lives with its closure.
     """
     store = _SampleStore(h)
-    cache: dict[float, float] = {}
+    key = render(h) if isinstance(h, Expr) else None
+    memo = {} if key is None else _KEPT.memos.get(key, {})
 
     def fn(s: float) -> float:
-        if s not in cache:
-            cache[s] = forward_laplace(h, s, _store=store)
-        return cache[s]
+        if s not in memo:
+            memo[s] = forward_laplace(h, s, _store=store)
+        return memo[s]
 
+    if key is not None:
+        weakref.finalize(fn, _KEPT.keep, key, memo).atexit = False
     return fn
 
 
@@ -339,15 +386,20 @@ class SolveReport:
 
 def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
     """Inversion at t - a = 0 is undefined: a grid that starts exactly at a
-    is nudged to a + span/1000."""
+    is nudged to a + span/1000, or halfway to its second point where that
+    one is nearer (from 1001 points on)."""
     grid = as_grid(t_grid, a)
     if grid.size < 2:
         raise ValueError("solver grid needs at least 2 points")
     if grid[0] > a:
         return grid
-    span = grid[-1] - grid[0]
+    nudged = a + (grid[-1] - grid[0]) / 1000.0
+    if not a < nudged < grid[1]:
+        nudged = a + (grid[1] - a) / 2.0
+        if not a < nudged < grid[1]:
+            raise ValueError("solver grid has no point between a and its second point")
     grid = grid.copy()
-    grid[0] = a + span / 1000.0
+    grid[0] = nudged
     return grid
 
 

@@ -46,6 +46,25 @@ def test_repeated_runs_are_deterministic():
         assert first.stdout == second.stdout, name
 
 
+def test_runs_in_one_process_print_the_bytes_of_fresh_ones(capsys):
+    # an expression's transforms are kept across runs in one process; each
+    # pinned run, done again after all of them, prints what it printed alone
+    from choqint import laplace
+
+    def run(argv):
+        code = main_exit_code(argv)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for _, argv, _ in GOLDEN_RUNS:
+        laplace._KEPT.memos.clear()
+        alone.append(run(argv))
+    warm = [run(argv) for _, argv, _ in reversed(GOLDEN_RUNS)][::-1]
+    assert laplace._KEPT.memos
+    assert warm == alone
+    assert [code for code, _ in alone] == [code for _, _, code in GOLDEN_RUNS]
+
+
 # one admissible run per subcommand
 ARGV = {
     "integrate": ["integrate", "--g", "t", "--m", "t", "--a", "0", "--t", "0:1:3"],
@@ -180,6 +199,21 @@ class TestExitCodes:
         proc = run_cli(*argv, "--a", "0", "--t", "0.01:1:5")
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
+
+    # from 1001 points on, a thousandth of the span from a reaches a grid's
+    # second point; the first point then goes halfway to it
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1", "--t", "1:3:1001"],
+        ["identify", "--f", "pow(t-2,5.5)", "--g", "sqrt(t-2)", "--a", "2",
+         "--t", "2:5:1500"],
+    ], ids=["derive", "identify"])
+    def test_grid_of_1001_points_from_a_is_no_crash(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == int(argv[-1].split(":")[-1])
+        assert float(rows[0].split(",")[0]) < float(rows[1].split(",")[0])
 
     CHAIN = "+".join(["t"] * 3000)
     SIZES = ["integrate", "--g", "t", "--m", "t", "--a", "0"]

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +29,14 @@ from choqint import (
 )
 from choqint import laplace, quadrature
 from choqint.choquet import _rebased
+from choqint.exprlang import Expr, Mul, Num, Var, render
 from choqint.laplace import (
+    KEPT_TRANSFORM_VALUES,
     TAIL_BOUND,
+    _KEPT,
     _CubicSpline,
     _SampleStore,
+    _inversion_grid,
     _truncation_exponent,
     forward_laplace,
     stehfest_weights,
@@ -185,6 +190,175 @@ class TestSharedSamples:
             forward_laplace(alone, s)
         assert len(alone_calls) > 5 * len(calls)
 
+
+def transformed_renders(monkeypatch) -> list:
+    """The function of every transform taken from now on, rendered where it
+    is an expression."""
+    seen = []
+
+    def spy(h, s, *args, _real=laplace.forward_laplace, **kwargs):
+        seen.append(render(h) if isinstance(h, Expr) else h)
+        return _real(h, s, *args, **kwargs)
+
+    monkeypatch.setattr(laplace, "forward_laplace", spy)
+    return seen
+
+
+def report_bits(report) -> tuple:
+    cert = report.certificate
+    return (report.grid.tobytes(), report.values.tobytes(), cert.grid.tobytes(),
+            cert.row_ok, cert.max_violation, report.residual, report.verdict,
+            report.first_point_excluded)
+
+
+def kept_values() -> int:
+    return sum(len(memo) for memo in _KEPT.memos.values())
+
+
+class TestKeptTransforms:
+    """transform_of keeps an expression's values across solves, keyed by its
+    rendered text, within KEPT_TRANSFORM_VALUES values in all."""
+
+    def test_a_known_distortion_is_not_transformed_again(self, monkeypatch):
+        d, grid = quad_distortion(), np.linspace(1.2, 3.0, 8)
+        f = parse("pow(t - 1, 3.5)")
+        cold = solve_problem2(f, d, 1.0, grid)
+        _KEPT.memos.clear()
+        solve_problem2(parse("2*pow(t - 1, 3.5)"), d, 1.0, grid)
+        seen = transformed_renders(monkeypatch)
+        warm = solve_problem2(f, d, 1.0, grid)
+        assert render(d.m) not in seen
+        assert seen and set(seen) == {render(_rebased(f, 1.0))}
+        assert report_bits(warm) == report_bits(cold)
+
+    def test_a_distortion_in_every_solve_outlives_fresh_functions(self, monkeypatch):
+        # 40 fresh f of about 290 values each overflow the cap; the least
+        # recently used memos go, and the distortion is used in every solve
+        d, grid = quad_distortion(), np.linspace(1.1, 3.0, 20)
+        seen = transformed_renders(monkeypatch)
+        for k in range(40):
+            solve_problem2(parse(f"{1.0 + k / 8.0!r}*pow(t - 1, 3.5)"), d, 1.0, grid)
+            if k == 0:
+                first = seen.count(render(d.m))
+        assert seen.count(render(d.m)) == first > 0
+        assert len(seen) > KEPT_TRANSFORM_VALUES
+        assert render(d.m) in _KEPT.memos
+        assert kept_values() <= KEPT_TRANSFORM_VALUES
+
+    def test_equal_trees_that_render_apart_never_share_values(self, monkeypatch):
+        zero, negative_zero = Mul(Var(), Num(0.0)), Mul(Var(), Num(-0.0))
+        assert zero == negative_zero and render(zero) != render(negative_zero)
+        seen = transformed_renders(monkeypatch)
+        assert transform_of(zero)(1.5) == 0.0
+        assert transform_of(negative_zero)(1.5) == 0.0
+        assert seen == ["t*0.0", "t*-0.0"]
+        assert list(_KEPT.memos) == ["t*0.0", "t*-0.0"]
+
+    def test_trees_that_render_alike_share_values(self, monkeypatch):
+        seen = transformed_renders(monkeypatch)
+        first = transform_of(parse("sqrt(t) + t^2/2"))(2.0)
+        again = transform_of(parse("sqrt(t)+t ^ 2.0 / 2"))(2.0)
+        assert again == first and seen == ["sqrt(t) + t^2.0/2.0"]
+
+    def test_values_are_kept_when_the_closure_is_dropped(self, monkeypatch):
+        # two live closures of one expression do not share values; each
+        # keeps its own under the expression when it is dropped
+        h = parse("sqrt(t) + t^2/2")
+        seen = transformed_renders(monkeypatch)
+        F, G = transform_of(h), transform_of(h)
+        F(1.0), G(2.0)
+        assert not _KEPT.memos
+        del F
+        assert _KEPT.memos == {render(h): {1.0: transform_of(h)(1.0)}}
+        del G
+        assert sorted(_KEPT.memos[render(h)]) == [1.0, 2.0]
+        H = transform_of(h)
+        H(1.0), H(2.0)
+        assert len(seen) == 2
+
+    def test_a_callable_is_never_kept(self, monkeypatch):
+        h = lambda t: np.sqrt(t) * (1.0 + t)  # noqa: E731
+        seen = transformed_renders(monkeypatch)
+        for _ in range(2):
+            F = transform_of(h)
+            assert F(2.0) == F(2.0)
+        del F
+        assert seen == [h, h]
+        assert not _KEPT.memos
+
+    def test_a_failed_transform_is_not_kept(self):
+        F = transform_of(parse("sqrt(40 - t)"))
+        with pytest.raises(DomainError):
+            F(0.5)
+        del F
+        assert not _KEPT.memos
+
+    def test_a_large_grid_keeps_values_within_the_cap(self):
+        report = solve_problem2(parse("pow(t - 1, 3.5)"), quad_distortion(), 1.0,
+                                np.linspace(1.1, 3.0, 2000))
+        assert report.verdict is Verdict.EXISTS
+        assert kept_values() <= KEPT_TRANSFORM_VALUES
+
+    def test_fresh_identify_inputs_keep_values_within_the_cap(self):
+        for k in range(12):
+            a = -2.0 + k / 3.0
+            solve_problem3(parse(f"pow(t - ({a!r}), 5.5)"), parse(f"sqrt(t - ({a!r}))"),
+                           a, np.linspace(a + 0.2, a + 3.0, 50))
+            assert kept_values() <= KEPT_TRANSFORM_VALUES
+        assert len(_KEPT.memos) < 24
+
+    def test_solves_in_threads_keep_values_within_the_cap(self, monkeypatch):
+        # more threads than cores, switching every microsecond, keep and drop
+        # each other's memos over a cap of 40 values; memos are kept by a
+        # finalizer, whose errors go to sys.unraisablehook
+        monkeypatch.setattr(_KEPT, "cap", 40)
+        sources = ["t", "t^2", "sqrt(t)", "t + 1"]
+        s_values = [float(s) for s in np.geomspace(0.5, 20.0, 12)]
+        want = {(src, s): forward_laplace(parse(src), s) for src in sources for s in s_values}
+        got, errors = {}, []
+        monkeypatch.setattr(sys, "unraisablehook", lambda raised: errors.append(raised))
+
+        def work(shift):
+            try:
+                for k in range(3 * len(sources)):
+                    src = sources[(k + shift) % len(sources)]
+                    F = transform_of(parse(src))
+                    for s in s_values[k % 3::3]:
+                        got[src, s, shift] = F(s)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(shift,)) for shift in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert 0 < kept_values() <= 40
+        assert all(value == want[src, s] for (src, s, _), value in got.items())
+        assert len(got) == 8 * len(want)
+
+    def test_least_recently_used_memos_go_first(self, monkeypatch):
+        monkeypatch.setattr(_KEPT, "cap", 3)
+        # t, used again, outlives t^2; then t^3 takes t's place
+        for src, s_values, kept in [("t", [1.0, 2.0], ["t"]),
+                                    ("t^2", [1.0], ["t", "t^2.0"]),
+                                    ("t", [3.0], ["t"]),
+                                    ("t^3", [1.0], ["t^3.0"])]:
+            F = transform_of(parse(src))
+            for s in s_values:
+                F(s)
+            del F
+            assert list(_KEPT.memos) == kept
+        t_closure = transform_of(parse("t"))
+        assert [t_closure(s) for s in (1.0, 2.0, 3.0, 4.0)]
+        del t_closure  # a memo above the cap on its own is not kept
+        assert list(_KEPT.memos) == ["t^3.0"]
 
 #: functions for the truncation search: polynomially bounded; overflowing
 #: to an infinite penalty from the rung t = 1024 on (no window below s ~ 1.05);
@@ -357,6 +531,15 @@ class TestProblem2:
         assert report.grid[0] == pytest.approx(1.0 + 2.0 / 1000.0)
         assert report.verdict is Verdict.EXISTS
 
+    def test_grid_of_1001_points_from_a_is_nudged_below_its_second_point(self):
+        # from 1001 points on, a + span/1000 reaches the second point; the
+        # first point goes halfway to it instead
+        grid = np.linspace(1.0, 3.0, 1001)
+        report = solve_problem2(parse("pow(t - 1, 3.5)"), quad_distortion(), 1.0, grid)
+        assert report.grid[0] == 1.0 + (grid[1] - 1.0) / 2.0
+        assert np.array_equal(report.grid[1:], grid[1:])
+        assert report.verdict is Verdict.EXISTS
+
     def test_blowup_at_left_edge_excluded_from_certificate(self):
         # the pseudo-derivative of sqrt(t - a) diverges like (t - a)^{-3/2},
         # so a grid touching a produces one wild sample; it is excluded from
@@ -367,6 +550,26 @@ class TestProblem2:
         assert abs(report.values[0]) > 100.0 * np.abs(report.values[1:]).max()
         assert report.certificate.grid[0] == report.grid[1]
         assert report.verdict is Verdict.DOES_NOT_EXIST
+
+
+class TestInversionGrid:
+    """A grid that starts at a has its first point moved inside (a, grid[1])."""
+
+    @pytest.mark.parametrize("points", [5, 1000])
+    def test_below_1001_points_the_nudge_is_a_thousandth_of_the_span(self, points):
+        grid = _inversion_grid(1.0, np.linspace(1.0, 3.0, points))
+        assert grid[0] == 1.0 + 2.0 / 1000.0 < grid[1]
+
+    @pytest.mark.parametrize("points", [1001, 1002, 5000])
+    def test_from_1001_points_it_is_halfway_to_the_second_point(self, points):
+        t_grid = np.linspace(1.0, 3.0, points)
+        grid = _inversion_grid(1.0, t_grid)
+        assert grid[0] == 1.0 + (t_grid[1] - 1.0) / 2.0
+        assert 1.0 < grid[0] < grid[1] == t_grid[1]
+
+    def test_no_float_between_a_and_the_second_point_is_refused(self):
+        with pytest.raises(ValueError, match="no point between a and its second point"):
+            _inversion_grid(1.0, np.array([1.0, np.nextafter(1.0, 2.0), 2.0]))
 
 
 class TestProblem3:
@@ -411,6 +614,16 @@ class TestProblem3:
                                 parse(f"sqrt(t - ({a!r}))"), a, grid)
         assert report.verdict is Verdict.EXISTS
         assert np.allclose(report.values, report.grid ** 2 / 2.0, rtol=1e-4)
+
+    def test_grid_of_1001_points_from_a_is_nudged_below_its_second_point(self):
+        # span/1000 is the second offset itself here
+        grid = np.linspace(2.0, 5.0, 1001)
+        report = solve_problem3(parse("pow(t - 2, 5.5)"), parse("sqrt(t - 2)"), 2.0, grid)
+        assert report.grid[0] == (grid[1] - 2.0) / 2.0
+        assert np.array_equal(report.grid[1:], grid[1:] - 2.0)
+        tail = report.grid >= 1.0
+        assert np.allclose(report.values[tail], 693.0 / 256.0 * report.grid[tail] ** 5,
+                           rtol=1e-3)
 
     def test_vanishing_g_raises(self):
         with pytest.raises(GVanishesError):
