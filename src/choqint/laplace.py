@@ -288,38 +288,28 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
     return transform_to(2.0 ** k_refined)
 
 
-class _KeptTransforms:
-    """The s -> value memos of transformed expressions, kept across solves.
+#: the s -> value memos of transformed expressions, kept across solves
+#: (see ``transform_of``), least recently used first
+_KEPT: OrderedDict[str, dict[float, float]] = OrderedDict()
+# solves in several threads share the kept memos
+_KEPT_LOCK = threading.Lock()
 
-    A memo is keyed by ``render(h)``, the text that evaluates identically,
-    not by ``Expr`` equality: ``t*0.0 == t*-0.0``, yet the two evaluate to
-    zeros of opposite sign.  A transform depends only on how h evaluates
-    and on s, so a kept value has the bits of a fresh one.  A closure's
-    values are kept under its key, as the most recently used, when the
-    closure is dropped at the end of its solve; then whole memos are
-    dropped, least recently used first, until at most ``cap`` values are
-    kept (a memo above the cap on its own is not kept).  So a solve never
-    loses values under it, and taking a value costs one dict store.
-    """
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.memos: OrderedDict[str, dict[float, float]] = OrderedDict()
-        # solves in several threads share the memos
-        self.lock = threading.Lock()
-
-    def keep(self, key: str, memo: dict[float, float]) -> None:
-        if not 0 < len(memo) <= self.cap:
+def _keep(key: str, memo: dict[float, float]) -> None:
+    """Keep a dropped closure's values under ``key``, as the most recently
+    used memo; then drop whole memos, least recently used first, until at
+    most ``KEPT_TRANSFORM_VALUES`` values are kept.  A memo above the cap on
+    its own is not kept, and takes the values kept under its key with it."""
+    if not memo:
+        return
+    with _KEPT_LOCK:
+        memo.update(_KEPT.pop(key, ()))
+        if len(memo) > KEPT_TRANSFORM_VALUES:
             return
-        with self.lock:
-            self.memos.setdefault(key, memo).update(memo)
-            self.memos.move_to_end(key)
-            kept = sum(map(len, self.memos.values()))
-            while kept > self.cap:
-                kept -= len(self.memos.popitem(last=False)[1])
-
-
-_KEPT = _KeptTransforms(KEPT_TRANSFORM_VALUES)
+        _KEPT[key] = memo
+        kept = sum(map(len, _KEPT.values()))
+        while kept > KEPT_TRANSFORM_VALUES:
+            kept -= len(_KEPT.popitem(last=False)[1])
 
 
 def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
@@ -330,13 +320,20 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], flo
     whatever the number of s served; the samples live as long as the
     closure, which a solver keeps for one solve.  The values of an ``Expr``
     outlive the closure, up to ``KEPT_TRANSFORM_VALUES`` of them in the
-    process (see ``_KeptTransforms``), so a later solve with the same
-    expression, a distortion say, transforms only the s it has not seen.
-    A callable's memo lives with its closure.
+    process, so a later solve with the same expression, a distortion say,
+    transforms only the s it has not seen.  They are keyed by ``render(h)``,
+    the text that evaluates identically, not by ``Expr`` equality:
+    ``t*0.0 == t*-0.0``, yet the two evaluate to zeros of opposite sign.
+    A transform depends only on how h evaluates and on s, so a kept value
+    has the bits of a fresh one.  The closure starts from a copy of the kept
+    values and adds its own to them when it is dropped (``_keep``), so a
+    solve never loses values under it, and taking a value costs one dict
+    store.  A callable's memo lives with its closure.
     """
     store = _SampleStore(h)
     key = render(h) if isinstance(h, Expr) else None
-    memo = {} if key is None else _KEPT.memos.get(key, {})
+    with _KEPT_LOCK:
+        memo = dict(_KEPT.get(key, ()))
 
     def fn(s: float) -> float:
         if s not in memo:
@@ -344,7 +341,7 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], flo
         return memo[s]
 
     if key is not None:
-        weakref.finalize(fn, _KEPT.keep, key, memo).atexit = False
+        weakref.finalize(fn, _keep, key, memo).atexit = False
     return fn
 
 

@@ -11,4 +11,4 @@ def cold_transforms():
     (``laplace.transform_of`` keeps an expression's values across solves):
     a test that spies on or counts transforms must see them taken, and
     none may pass or fail by the order the tests ran in."""
-    laplace._KEPT.memos.clear()
+    laplace._KEPT.clear()

@@ -57,10 +57,10 @@ def test_runs_in_one_process_print_the_bytes_of_fresh_ones(capsys):
 
     alone = []
     for _, argv, _ in GOLDEN_RUNS:
-        laplace._KEPT.memos.clear()
+        laplace._KEPT.clear()
         alone.append(run(argv))
     warm = [run(argv) for _, argv, _ in reversed(GOLDEN_RUNS)][::-1]
-    assert laplace._KEPT.memos
+    assert laplace._KEPT
     assert warm == alone
     assert [code for code, _ in alone] == [code for _, _, code in GOLDEN_RUNS]
 

@@ -212,7 +212,7 @@ def report_bits(report) -> tuple:
 
 
 def kept_values() -> int:
-    return sum(len(memo) for memo in _KEPT.memos.values())
+    return sum(len(memo) for memo in _KEPT.values())
 
 
 class TestKeptTransforms:
@@ -223,7 +223,7 @@ class TestKeptTransforms:
         d, grid = quad_distortion(), np.linspace(1.2, 3.0, 8)
         f = parse("pow(t - 1, 3.5)")
         cold = solve_problem2(f, d, 1.0, grid)
-        _KEPT.memos.clear()
+        _KEPT.clear()
         solve_problem2(parse("2*pow(t - 1, 3.5)"), d, 1.0, grid)
         seen = transformed_renders(monkeypatch)
         warm = solve_problem2(f, d, 1.0, grid)
@@ -242,7 +242,7 @@ class TestKeptTransforms:
                 first = seen.count(render(d.m))
         assert seen.count(render(d.m)) == first > 0
         assert len(seen) > KEPT_TRANSFORM_VALUES
-        assert render(d.m) in _KEPT.memos
+        assert render(d.m) in _KEPT
         assert kept_values() <= KEPT_TRANSFORM_VALUES
 
     def test_equal_trees_that_render_apart_never_share_values(self, monkeypatch):
@@ -252,7 +252,7 @@ class TestKeptTransforms:
         assert transform_of(zero)(1.5) == 0.0
         assert transform_of(negative_zero)(1.5) == 0.0
         assert seen == ["t*0.0", "t*-0.0"]
-        assert list(_KEPT.memos) == ["t*0.0", "t*-0.0"]
+        assert list(_KEPT) == ["t*0.0", "t*-0.0"]
 
     def test_trees_that_render_alike_share_values(self, monkeypatch):
         seen = transformed_renders(monkeypatch)
@@ -267,11 +267,11 @@ class TestKeptTransforms:
         seen = transformed_renders(monkeypatch)
         F, G = transform_of(h), transform_of(h)
         F(1.0), G(2.0)
-        assert not _KEPT.memos
+        assert not _KEPT
         del F
-        assert _KEPT.memos == {render(h): {1.0: transform_of(h)(1.0)}}
+        assert _KEPT == {render(h): {1.0: transform_of(h)(1.0)}}
         del G
-        assert sorted(_KEPT.memos[render(h)]) == [1.0, 2.0]
+        assert sorted(_KEPT[render(h)]) == [1.0, 2.0]
         H = transform_of(h)
         H(1.0), H(2.0)
         assert len(seen) == 2
@@ -284,14 +284,14 @@ class TestKeptTransforms:
             assert F(2.0) == F(2.0)
         del F
         assert seen == [h, h]
-        assert not _KEPT.memos
+        assert not _KEPT
 
     def test_a_failed_transform_is_not_kept(self):
         F = transform_of(parse("sqrt(40 - t)"))
         with pytest.raises(DomainError):
             F(0.5)
         del F
-        assert not _KEPT.memos
+        assert not _KEPT
 
     def test_a_large_grid_keeps_values_within_the_cap(self):
         report = solve_problem2(parse("pow(t - 1, 3.5)"), quad_distortion(), 1.0,
@@ -299,19 +299,39 @@ class TestKeptTransforms:
         assert report.verdict is Verdict.EXISTS
         assert kept_values() <= KEPT_TRANSFORM_VALUES
 
+    def test_one_distortion_on_shifting_grids_keeps_values_within_the_cap(self, monkeypatch):
+        # each grid asks m for s it has not seen, so m's values outgrow the
+        # cap; the kept values stay within it at every transform, also while
+        # a solve is taking values
+        d, f = quad_distortion(), parse("pow(t - 1, 3.5)")
+        kept, m_transforms = [], []
+
+        def spy(h, s, *args, **kwargs):
+            kept.append(kept_values())
+            m_transforms.append(h is d.m)
+            return _real(h, s, *args, **kwargs)
+
+        _real = laplace.forward_laplace
+        monkeypatch.setattr(laplace, "forward_laplace", spy)
+        for k in range(40):
+            solve_problem2(f, d, 1.0, np.linspace(1.1 + k / 64.0, 3.0 + k / 64.0, 20))
+            kept.append(kept_values())
+        assert sum(m_transforms) > KEPT_TRANSFORM_VALUES
+        assert max(kept) <= KEPT_TRANSFORM_VALUES
+
     def test_fresh_identify_inputs_keep_values_within_the_cap(self):
         for k in range(12):
             a = -2.0 + k / 3.0
             solve_problem3(parse(f"pow(t - ({a!r}), 5.5)"), parse(f"sqrt(t - ({a!r}))"),
                            a, np.linspace(a + 0.2, a + 3.0, 50))
             assert kept_values() <= KEPT_TRANSFORM_VALUES
-        assert len(_KEPT.memos) < 24
+        assert len(_KEPT) < 24
 
     def test_solves_in_threads_keep_values_within_the_cap(self, monkeypatch):
         # more threads than cores, switching every microsecond, keep and drop
         # each other's memos over a cap of 40 values; memos are kept by a
         # finalizer, whose errors go to sys.unraisablehook
-        monkeypatch.setattr(_KEPT, "cap", 40)
+        monkeypatch.setattr(laplace, "KEPT_TRANSFORM_VALUES", 40)
         sources = ["t", "t^2", "sqrt(t)", "t + 1"]
         s_values = [float(s) for s in np.geomspace(0.5, 20.0, 12)]
         want = {(src, s): forward_laplace(parse(src), s) for src in sources for s in s_values}
@@ -344,7 +364,7 @@ class TestKeptTransforms:
         assert len(got) == 8 * len(want)
 
     def test_least_recently_used_memos_go_first(self, monkeypatch):
-        monkeypatch.setattr(_KEPT, "cap", 3)
+        monkeypatch.setattr(laplace, "KEPT_TRANSFORM_VALUES", 3)
         # t, used again, outlives t^2; then t^3 takes t's place
         for src, s_values, kept in [("t", [1.0, 2.0], ["t"]),
                                     ("t^2", [1.0], ["t", "t^2.0"]),
@@ -354,11 +374,28 @@ class TestKeptTransforms:
             for s in s_values:
                 F(s)
             del F
-            assert list(_KEPT.memos) == kept
+            assert list(_KEPT) == kept
         t_closure = transform_of(parse("t"))
         assert [t_closure(s) for s in (1.0, 2.0, 3.0, 4.0)]
         del t_closure  # a memo above the cap on its own is not kept
-        assert list(_KEPT.memos) == ["t^3.0"]
+        assert list(_KEPT) == ["t^3.0"]
+
+    def test_a_reopened_memo_above_the_cap_is_not_kept(self, monkeypatch):
+        # t is opened again while kept and takes two new values: the live
+        # closure leaves the kept values alone, and when it is dropped its
+        # four values are over the cap, so t goes and t^2 stays
+        monkeypatch.setattr(laplace, "KEPT_TRANSFORM_VALUES", 3)
+        for src, s_values in [("t^2", [1.0]), ("t", [1.0, 2.0])]:
+            F = transform_of(parse(src))
+            for s in s_values:
+                F(s)
+            del F
+        F = transform_of(parse("t"))
+        assert [F(s) for s in (1.0, 2.0, 3.0, 4.0)]
+        assert sorted(_KEPT["t"]) == [1.0, 2.0]
+        del F
+        assert list(_KEPT) == ["t^2.0"]
+        assert kept_values() <= 3
 
 #: functions for the truncation search: polynomially bounded; overflowing
 #: to an infinite penalty from the rung t = 1024 on (no window below s ~ 1.05);
