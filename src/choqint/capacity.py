@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDistortionError, NotInFPlusError
+from .errors import InvalidArgumentError, InvalidDistortionError, NotInFPlusError
 from .exprlang import Expr, differentiate, evaluate, parse, render
 
 __all__ = [
@@ -90,7 +90,7 @@ def check_f_plus(h: Expr, a: float, t_max: float) -> MonotoneCertificate:
     """Sample ``h`` on a uniform grid over [a, t_max] and certify membership
     in the class of nonnegative nondecreasing functions."""
     if t_max <= a:
-        raise ValueError("t_max must exceed a")
+        raise InvalidArgumentError("t_max must exceed a")
     grid = np.linspace(a, t_max, F_PLUS_POINTS)
     return certify_samples(grid, evaluate(h, grid))
 

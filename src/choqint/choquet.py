@@ -29,7 +29,7 @@ from .capacity import (
     _tau_derivative_grid,
     require_f_plus,
 )
-from .errors import InvalidDistortionError, InvalidIntervalError
+from .errors import InvalidArgumentError, InvalidDistortionError, InvalidIntervalError
 from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_rows
 
@@ -54,14 +54,15 @@ def as_grid(points, a: float) -> np.ndarray:
     """Validate a finite, strictly increasing evaluation grid that starts at
     or after the origin ``a``, itself finite."""
     if not math.isfinite(a):
-        raise ValueError(f"the origin a must be finite, got {a!r}")
+        raise InvalidArgumentError(f"the origin a must be finite, got {a!r}")
     grid = np.asarray(points, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or not np.isfinite(grid).all():
-        raise ValueError("grid must be a non-empty 1-d sequence of finite points")
+        raise InvalidArgumentError("grid must be a non-empty 1-d sequence of finite points")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+        raise InvalidArgumentError("grid must be strictly increasing")
     if grid[0] < a:
-        raise ValueError("t_grid must start at or after a")
+        raise InvalidArgumentError(
+            f"grid start {float(grid[0])!r} precedes the interval origin {float(a)!r}")
     return grid
 
 

@@ -13,8 +13,10 @@ route tolerances: --route-tol --hereditary-tol --shift-tol
 
 Every subcommand also takes --a A and --t START:STOP:POINTS, and echoes its
 inputs and settings, no others, in the report.  A flag another subcommand
-reads is a usage error, as is a non-finite A, START or STOP and a negative,
-infinite or NaN tolerance.  Reports go to stdout or ``--output`` as CSV
+reads is a usage error, as is a non-finite A, START or STOP, a negative,
+infinite or NaN tolerance, and any argument the library refuses with
+``InvalidArgumentError``, such as a grid whose points the doubles near A
+cannot keep apart.  Reports go to stdout or ``--output`` as CSV
 (default) or JSON; timing and diagnostics go to stderr.  Exit codes: 0
 success, 2 expression or usage error, 3 inadmissible input (not
 nonnegative/nondecreasing, bad distortion, f(a) != 0), 4 numerical failure,
@@ -33,6 +35,7 @@ from . import __version__
 from .capacity import MONOTONE_SLACK, Distortion, certify_samples
 from .choquet import (
     ChoquetProblem,
+    as_grid,
     check_hereditary,
     choquet_convolution,
     choquet_general,
@@ -41,6 +44,7 @@ from .choquet import (
 )
 from .errors import (
     ChoqintError,
+    InvalidArgumentError,
     InvalidDistortionError,
     NotInFPlusError,
     OriginNotZeroError,
@@ -69,10 +73,6 @@ EXIT_VERIFY_FAILED = 6
 
 #: the most points a grid takes: a larger one is refused before it is built
 MAX_POINTS = 100_000
-
-
-class UsageError(ChoqintError):
-    """Invalid run configuration (exits like an argparse usage error)."""
 
 
 def _t_range(text: str) -> tuple[float, float, int]:
@@ -164,17 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(make, **fields):
-    """Build a config object; a value it rejects is a usage error."""
-    try:
-        return make(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _quadrature(args) -> QuadratureConfig:
-    return _config(
-        QuadratureConfig,
+    return QuadratureConfig(
         subintervals=args.subintervals,
         nodes_per_subinterval=args.nodes,
         refinement_tolerance=args.refinement_tol,
@@ -185,11 +176,7 @@ def _quadrature(args) -> QuadratureConfig:
 
 def _grid(args) -> np.ndarray:
     start, stop, points = args.t
-    if start < args.a:
-        raise UsageError(
-            f"grid start {start!r} precedes the interval origin {args.a!r}"
-        )
-    return np.linspace(start, stop, points)
+    return as_grid(np.linspace(start, stop, points), args.a)
 
 
 def _distortion(args, span: float) -> Distortion:
@@ -249,8 +236,8 @@ def run_inverse(args) -> RunReport:
     grid = _grid(args)
     f = parse(args.f)
     settings = dict(
-        quadrature=_config(QuadratureConfig, nodes_per_subinterval=args.nodes),
-        inversion=_config(InversionConfig, stehfest_terms=args.stehfest_terms),
+        quadrature=QuadratureConfig(nodes_per_subinterval=args.nodes),
+        inversion=InversionConfig(stehfest_terms=args.stehfest_terms),
         residual_threshold=args.residual_tol,
         decisive_ratio=args.decisive_ratio,
         monotone_slack=args.monotone_slack,
@@ -354,7 +341,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = _RUNNERS[args.command](args)
-    except UsageError as exc:
+    except InvalidArgumentError as exc:
         print(f"choqint: usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as exc:

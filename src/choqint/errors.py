@@ -5,6 +5,13 @@ class ChoqintError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(ChoqintError, ValueError):
+    """A caller's argument is refused: a grid, origin, window, tolerance or
+    config value outside what the function takes.  A :class:`ValueError`,
+    so ``except ValueError`` still catches it; a failed check of the
+    program's own invariants stays a plain ``ValueError``."""
+
+
 class ParseError(ChoqintError):
     """Malformed expression source.
 
@@ -47,8 +54,8 @@ class NotInFPlusError(ChoqintError):
     on its working interval failed the certificate."""
 
 
-class InvalidIntervalError(ChoqintError):
-    """Integration endpoint precedes the interval origin."""
+class InvalidIntervalError(InvalidArgumentError):
+    """A split point of the interval [a, t] lies outside it."""
 
 
 class DivergentIntegralError(ChoqintError):

@@ -47,6 +47,7 @@ from .errors import (
     DivergentIntegralError,
     DomainError,
     GVanishesError,
+    InvalidArgumentError,
     NonPositiveSError,
     OriginNotZeroError,
 )
@@ -101,7 +102,7 @@ class InversionConfig:
 
     def __post_init__(self):
         if self.stehfest_terms % 2 != 0 or not 8 <= self.stehfest_terms <= 20:
-            raise ValueError("stehfest_terms must be even and between 8 and 20")
+            raise InvalidArgumentError("stehfest_terms must be even and between 8 and 20")
 
 
 DEFAULT_INVERSION = InversionConfig()
@@ -350,7 +351,7 @@ def invert_laplace(F: Callable[[float], float], t: float,
     """Gaver-Stehfest inversion (ln 2 / t) sum_k V_k F(k ln 2 / t)."""
     t = float(t)
     if t <= 0.0:
-        raise ValueError(f"inversion time must be positive, got {t!r}")
+        raise InvalidArgumentError(f"inversion time must be positive, got {t!r}")
     weights = stehfest_weights(cfg.stehfest_terms)
     scale = LN2 / t
     return scale * math.fsum(w * F((k + 1) * scale) for k, w in enumerate(weights))
@@ -387,14 +388,14 @@ def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
     one is nearer (from 1001 points on)."""
     grid = as_grid(t_grid, a)
     if grid.size < 2:
-        raise ValueError("solver grid needs at least 2 points")
+        raise InvalidArgumentError("solver grid needs at least 2 points")
     if grid[0] > a:
         return grid
     nudged = a + (grid[-1] - grid[0]) / 1000.0
     if not a < nudged < grid[1]:
         nudged = a + (grid[1] - a) / 2.0
         if not a < nudged < grid[1]:
-            raise ValueError("solver grid has no point between a and its second point")
+            raise InvalidArgumentError("solver grid has no point between a and its second point")
     grid = grid.copy()
     grid[0] = nudged
     return grid
@@ -433,7 +434,7 @@ def _solver_verdict(values: np.ndarray, cert: MonotoneCertificate, residual: flo
         return Verdict.DOES_NOT_EXIST
     ok = cert.is_monotone
     if strictly_increasing:
-        ok = ok and bool(np.all(np.diff(values) > 1e-12)) and bool(np.all(values >= 0.0))
+        ok = ok and bool(np.all(np.diff(values) > 0.0)) and bool(np.all(values >= 0.0))
     if ok and residual <= residual_tol:
         return Verdict.EXISTS
     return Verdict.INCONCLUSIVE
@@ -443,7 +444,7 @@ def _require_tolerances(**tolerances: float) -> None:
     """Each solver tolerance must be finite and nonnegative (NaN is neither)."""
     for name, value in tolerances.items():
         if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,

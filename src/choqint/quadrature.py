@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegralError
+from .errors import DivergentIntegralError, InvalidArgumentError
 
 __all__ = ["QuadratureConfig", "graded_mesh", "composite_gauss_legendre", "integrate",
            "integrate_rows", "convolve"]
@@ -40,18 +40,18 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.subintervals < 1 or self.nodes_per_subinterval < 1:
-            raise ValueError("subintervals and nodes_per_subinterval must be positive")
+            raise InvalidArgumentError("subintervals and nodes_per_subinterval must be positive")
         if self.nodes_per_subinterval > MAX_CELL_NODES:
-            raise ValueError(f"nodes_per_subinterval must be at most {MAX_CELL_NODES}")
+            raise InvalidArgumentError(f"nodes_per_subinterval must be at most {MAX_CELL_NODES}")
         if self.subintervals * self.nodes_per_subinterval > MAX_ROW_NODES:
-            raise ValueError("the first pass, subintervals * nodes_per_subinterval, "
-                             f"must be at most {MAX_ROW_NODES} nodes")
-        if self.refinement_tolerance <= 0.0:
-            raise ValueError("refinement_tolerance must be positive")
+            raise InvalidArgumentError("the first pass, subintervals * nodes_per_subinterval, "
+                                       f"must be at most {MAX_ROW_NODES} nodes")
+        if not 0.0 < self.refinement_tolerance < np.inf:
+            raise InvalidArgumentError("refinement_tolerance must be positive and finite")
         if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
+            raise InvalidArgumentError("max_refinements must be nonnegative")
         if not 0.0 < self.endpoint_grading <= 1.0:
-            raise ValueError("endpoint_grading must lie in (0, 1]")
+            raise InvalidArgumentError("endpoint_grading must lie in (0, 1]")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

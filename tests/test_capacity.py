@@ -20,6 +20,7 @@ from choqint.capacity import (
     require_f_plus,
 )
 from choqint.choquet import _general_integrand
+from choqint.errors import InvalidArgumentError
 
 
 class TestDistortion:
@@ -133,7 +134,7 @@ class TestCheckFPlus:
         assert cert.violation_index == 0
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="t_max must exceed a"):
             check_f_plus(parse("t"), 1.0, 1.0)
 
 

@@ -26,6 +26,7 @@ from choqint import (
 )
 from choqint import capacity, choquet, quadrature
 from choqint.choquet import BISECTION_TOL
+from choqint.errors import InvalidArgumentError
 from choqint.quadrature import BATCH_NODES
 from helpers import beta_integral, sqrt_problem, sqrt_forward_value, random_monotone_problem
 
@@ -34,17 +35,19 @@ class TestProblemConstruction:
     @pytest.mark.parametrize("points", [[0.0, np.nan], [np.nan, 1.0], [0.0, np.inf],
                                         [-np.inf, 0.0]])
     def test_grid_points_must_be_finite(self, points):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidArgumentError, match="finite"):
             choquet.as_grid(points, -1.0)
 
     def test_grid_must_be_increasing(self):
         d = Distortion.from_expression("t", upper=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             ChoquetProblem(0.0, parse("t"), d, np.array([0.0, 1.0, 1.0]))
 
     def test_grid_must_start_at_or_after_a(self):
         d = Distortion.from_expression("t", upper=2.0)
-        with pytest.raises(ValueError):
+        # the message names both values, as the command line prints it
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^grid start -1\.0 precedes the interval origin 0\.0$"):
             ChoquetProblem(0.0, parse("t"), d, np.array([-1.0, 1.0]))
 
     def test_integrand_must_be_admissible(self):
@@ -63,7 +66,8 @@ class TestProblemConstruction:
     @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
     def test_origin_must_be_finite(self, a):
         d = Distortion.from_expression("t", upper=2.0)
-        with pytest.raises(ValueError, match=r"origin a must be finite, got (nan|inf|-inf)"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"origin a must be finite, got (nan|inf|-inf)"):
             ChoquetProblem(a, parse("t"), d, np.array([0.0, 1.0]))
 
     def test_general_capacity_has_no_window(self):

@@ -136,6 +136,8 @@ class TestExitCodes:
         ("integrate", "--grading", "2"),
         ("integrate", "--max-refinements", "-1"),
         ("integrate", "--refinement-tol", "0"),
+        ("integrate", "--refinement-tol", "inf"),
+        ("integrate", "--refinement-tol", "nan"),
     ]
 
     # ids name the flag and value; each case runs on a subcommand that reads the flag
@@ -214,6 +216,25 @@ class TestExitCodes:
         rows = proc.stdout.splitlines()[1:]
         assert len(rows) == int(argv[-1].split(":")[-1])
         assert float(rows[0].split(",")[0]) < float(rows[1].split(",")[0])
+
+    # near a = 1e15 the doubles are 0.125 apart: 17 points on [a, a + 1]
+    # repeat some, and with 9 no double lies between a and the second point
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--g", "t-1000000000000000", "--m", "t", "--t",
+         "1000000000000000:1000000000000001:17"],
+        ["verify", "--g", "t-1000000000000000", "--m", "t", "--t",
+         "1000000000000000:1000000000000001:17"],
+        ["derive", "--f", "t-1000000000000000", "--m", "t", "--t",
+         "1000000000000000:1000000000000001:9"],
+        ["identify", "--f", "t-1000000000000000", "--g", "t", "--t",
+         "1000000000000000:1000000000000001:9"],
+    ], ids=["integrate", "verify", "derive", "identify"])
+    def test_grid_the_doubles_near_a_cannot_keep_apart_is_2(self, argv, capsys):
+        assert main_exit_code([*argv, "--a", "1e15"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("choqint: usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     CHAIN = "+".join(["t"] * 3000)
     SIZES = ["integrate", "--g", "t", "--m", "t", "--a", "0"]

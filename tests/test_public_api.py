@@ -2,6 +2,7 @@
 modules."""
 
 import choqint
+from choqint.errors import ChoqintError, InvalidArgumentError
 
 PUBLIC = {
     "__version__",
@@ -28,6 +29,15 @@ PUBLIC = {
 def test_all_is_the_public_surface():
     assert len(choqint.__all__) == len(PUBLIC) == 40
     assert set(choqint.__all__) == PUBLIC
+
+
+def test_a_refused_argument_is_a_value_error_outside_the_public_names():
+    # every library check of a caller's argument raises this type, which the
+    # command line maps to exit 2
+    assert issubclass(InvalidArgumentError, ChoqintError)
+    assert issubclass(InvalidArgumentError, ValueError)
+    assert issubclass(choqint.InvalidIntervalError, InvalidArgumentError)
+    assert "InvalidArgumentError" not in choqint.__all__
 
 
 def test_every_public_name_resolves():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choqint import DivergentIntegralError, quadrature
+from choqint.errors import InvalidArgumentError
 from choqint.laplace import TRANSFORM_QUADRATURE
 from choqint.quadrature import (
     DEFAULT_QUADRATURE,
@@ -110,11 +111,18 @@ def test_pass_rows_equal_one_interval_passes_bit_for_bit(ends, cells, grading, n
 def test_config_caps_the_rule_and_the_first_pass():
     QuadratureConfig(subintervals=MAX_ROW_NODES // MAX_CELL_NODES,
                      nodes_per_subinterval=MAX_CELL_NODES)
-    with pytest.raises(ValueError, match="nodes_per_subinterval"):
+    with pytest.raises(InvalidArgumentError, match="nodes_per_subinterval"):
         QuadratureConfig(nodes_per_subinterval=MAX_CELL_NODES + 1)
-    with pytest.raises(ValueError, match="first pass"):
+    with pytest.raises(InvalidArgumentError, match="first pass"):
         QuadratureConfig(subintervals=MAX_ROW_NODES // MAX_CELL_NODES + 1,
                          nodes_per_subinterval=MAX_CELL_NODES)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, np.inf, np.nan])
+def test_config_refuses_a_refinement_tolerance_outside_0_to_inf(tolerance):
+    # with inf every stop test passes after one doubling; with nan none does
+    with pytest.raises(InvalidArgumentError, match="refinement_tolerance"):
+        QuadratureConfig(refinement_tolerance=tolerance)
 
 
 def test_a_row_above_the_cap_is_refused_before_it_is_built():
