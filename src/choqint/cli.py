@@ -335,9 +335,16 @@ def _join_t_flag(argv: list[str]) -> list[str]:
     return out
 
 
+#: the parser of ``main``, built by its first call: parsing does not change
+#: a parser, so one serves every later call in the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_t_flag(sys.argv[1:] if argv is None else list(argv)))
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_join_t_flag(sys.argv[1:] if argv is None else list(argv)))
     started = time.perf_counter()
     try:
         report = _RUNNERS[args.command](args)

@@ -52,7 +52,13 @@ from .errors import (
     OriginNotZeroError,
 )
 from .exprlang import Expr, evaluate, render
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, convolve, integrate
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    composite_gauss_legendre,
+    convolve,
+    integrate,
+)
 
 __all__ = [
     "InversionConfig",
@@ -200,7 +206,9 @@ class _SampleStore:
     leaves the window, never earlier.  ``passes`` maps a quadrature pass,
     (T, number of nodes), to h at its nodes: every transform integrates
     with ``TRANSFORM_QUADRATURE``, so the nodes of a pass over [0, T]
-    depend on nothing else.
+    depend on nothing else.  ``queue`` holds the s that the next transform
+    sweeps together, and ``swept`` their values until they are taken; the
+    lock guards both.
     """
 
     def __init__(self, h: Callable[[np.ndarray], np.ndarray]):
@@ -208,6 +216,9 @@ class _SampleStore:
         self.fn = lambda pts: np.asarray(h(pts), dtype=float)
         self.ladder: list[float] = []
         self.passes: dict[tuple[float, int], np.ndarray] = {}
+        self.queue: list[float] = []
+        self.swept: dict[float, float] = {}
+        self.lock = threading.Lock()
 
     def rung(self, k: int) -> float:
         while len(self.ladder) <= k:
@@ -228,23 +239,116 @@ class _SampleStore:
         return self.passes[key]
 
 
-def _truncation_exponent(store: _SampleStore, s: float, target: float,
-                         start: int = 0) -> int:
-    """Smallest k >= ``start`` whose T = 2^k satisfies
-    exp(-sT) (1+|h(T)|) (1+1/s) <= target.
+def _truncation_exponent(store: _SampleStore, s: np.ndarray, target: np.ndarray,
+                         start: int = 0) -> np.ndarray:
+    """For every i, the smallest k >= ``start`` whose T = 2^k satisfies
+    exp(-s_i T) (1+|h(T)|) (1+1/s_i) <= target_i.
 
-    A search for a tighter target may resume at the window of a looser
-    one: every rung below it failed the looser target, so it fails the
-    tighter one too, and the window found is the same."""
-    log_target = math.log(target)
-    log_factor = math.log1p(1.0 / s)
-    for k in range(start, 120):
-        if -s * 2.0 ** k + store.rung(k) + log_factor <= log_target:
+    The searches climb the ladder together, one rung at a time, and only as
+    far as the furthest of them needs.  A search for a tighter target may
+    resume at the window of a looser one: every rung below it failed the
+    looser target, so it fails the tighter one too, and the window found
+    is the same."""
+    # the logs in scalar arithmetic: the bits of a search for one s
+    log_target = np.array([math.log(x) for x in target.tolist()])
+    log_factor = np.array([math.log1p(1.0 / x) for x in s.tolist()])
+    k, searching = np.full(s.size, start), np.arange(s.size)
+    for rung in range(start, 120):
+        if not searching.size:
             return k
+        bound = -s[searching] * 2.0 ** rung + store.rung(rung) + log_factor[searching]
+        hit = bound <= log_target[searching]
+        k[searching[hit]] = rung
+        searching = searching[~hit]
+    if not searching.size:
+        return k
     raise DivergentIntegralError(
         "no truncation window: the function outgrows exp(-s t) "
-        f"at s = {s!r}"
+        f"at s = {float(s[searching[0]])!r}"
     )
+
+
+def _refined_exponent(store: _SampleStore, s: np.ndarray, values: np.ndarray,
+                      k: int) -> np.ndarray:
+    """The windows, from 2^k on, where the tail bound is small relative to
+    ``values``, the transforms at s over [0, 2^k]; a row whose value is 0,
+    or not finite, keeps 2^k."""
+    refined = np.full(s.size, k)
+    rows = np.flatnonzero((values != 0.0) & np.isfinite(values))
+    if rows.size:
+        # floored at the smallest normal float, 2^-1022: a subnormal value's
+        # target would round to 0
+        target = np.maximum(np.minimum(TAIL_BOUND, 1e-14 * np.abs(values[rows])), 2.0 ** -1022)
+        refined[rows] = _truncation_exponent(store, s[rows], target, start=k)
+    return refined
+
+
+def _transform_rows(store: _SampleStore,
+                    T: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The integrands exp(-s x) h(x) over [0, T], one row per s."""
+    def rows(s: np.ndarray, points: np.ndarray) -> np.ndarray:
+        out = np.multiply(points, -s[:, None])
+        np.exp(out, out=out)
+        out *= store.values(T, points)
+        return out
+
+    return rows
+
+
+def _sweep_all(store: _SampleStore, s_values: list[float]) -> dict[float, float]:
+    """The transforms of the store's function at every s of ``s_values``.
+
+    Every s has a first window 2^k from the absolute tail target, and the
+    s of one window share each pass over [0, 2^k].  The first pass of an s
+    sets its refined window, where the tail bound is small relative to
+    that value.  An s whose window stays refines on from that pass, and is
+    checked again against its converged value; one that moves, then or
+    at the check, is integrated anew at its refined window, once.  No
+    integral is computed at a window it then leaves, unless the first
+    pass misjudged it.  Windows only grow, so they are served smallest
+    first."""
+    cfg = TRANSFORM_QUADRATURE
+    s = np.array(list(dict.fromkeys(s_values)))
+    if np.any(s <= 0.0):
+        raise NonPositiveSError(
+            f"transform variable must be positive, got {float(s[s <= 0.0][0])!r}")
+    windows = _truncation_exponent(store, s, np.full(s.size, TAIL_BOUND))
+    pending: dict[int, list[float]] = {}
+    for x, k in zip(s.tolist(), windows.tolist()):
+        pending.setdefault(k, []).append(x)
+    moved: set[float] = set()
+    out: dict[float, float] = {}
+    while pending:
+        k = min(pending)
+        T, rows = 2.0 ** k, np.array(pending.pop(k))
+        integrand = _transform_rows(store, T)
+        first = composite_gauss_legendre(integrand, 0.0, T, cfg, cfg.subintervals, rows=rows)
+        unmoved = np.array([x not in moved for x in rows.tolist()], dtype=bool)
+        to = np.full(rows.size, k)
+        to[unmoved] = _refined_exponent(store, rows[unmoved], first[unmoved], k)
+        stay = np.flatnonzero(to == k)
+        values = integrate(integrand, 0.0, T, cfg, absolute_floor=0.0, rows=rows[stay],
+                           first=first[stay])
+        check = unmoved[stay]
+        to[stay[check]] = _refined_exponent(store, rows[stay[check]], values[check], k)
+        kept = to[stay] == k
+        out.update(zip(rows[stay[kept]].tolist(), values[kept].tolist()))
+        for x, window in zip(rows[to != k].tolist(), to[to != k].tolist()):
+            pending.setdefault(window, []).append(x)
+            moved.add(x)
+    return out
+
+
+def _sweep(store: _SampleStore, s_values: list[float]) -> dict[float, float]:
+    """``_sweep_all``, where a set that fails raises what its first failing
+    s raises alone: on a failure each s is swept alone, in order."""
+    try:
+        return _sweep_all(store, s_values)
+    except Exception:  # any failure, h's own included; always raised again
+        if len(s_values) > 1:
+            for s in s_values:
+                _sweep_all(store, [s])
+        raise
 
 
 def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
@@ -259,34 +363,21 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
 
     ``h`` is sampled through a sample store: the truncation ladder h(2^k)
     and h at the nodes of each quadrature pass.  ``transform_of`` passes
-    the store of its function, so every s it serves shares the samples;
-    called alone, the transform builds a store of its own and drops it on
-    return.  Either way the values are the same bits.
+    the store of its function, so every s it serves shares the samples,
+    and queues on it the s it is about to ask for: the call for the first
+    of them transforms them all in one sweep, and the later calls take
+    their swept values.  Called alone, the transform sweeps its one s with
+    a store of its own.  Either way the values are the same bits, and a
+    sweep that fails raises what its first failing s raises alone.
     """
     s = float(s)
-    if s <= 0.0:
-        raise NonPositiveSError(f"transform variable must be positive, got {s!r}")
     store = _SampleStore(h) if _store is None else _store
-
-    def transform_to(T: float) -> float:
-        def integrand(points: np.ndarray) -> np.ndarray:
-            out = np.multiply(points, -s)
-            np.exp(out, out=out)
-            out *= store.values(T, points)
-            return out
-
-        return integrate(integrand, 0.0, T, TRANSFORM_QUADRATURE, absolute_floor=0.0)
-
-    k = _truncation_exponent(store, s, TAIL_BOUND)
-    first = transform_to(2.0 ** k)
-    if first == 0.0:
-        return first
-    # floored at the smallest normal float, 2^-1022: a subnormal value's target would round to 0
-    target = max(min(TAIL_BOUND, 1e-14 * abs(first)), 2.0 ** -1022)
-    k_refined = _truncation_exponent(store, s, target, start=k)
-    if k_refined == k:
-        return first
-    return transform_to(2.0 ** k_refined)
+    with store.lock:
+        if s not in store.swept:
+            batch = store.queue if s in store.queue else [s]
+            store.queue = []
+            store.swept.update(_sweep(store, batch))
+        return store.swept.pop(s)
 
 
 #: the s -> value memos of transformed expressions, kept across solves
@@ -313,8 +404,15 @@ def _keep(key: str, memo: dict[float, float]) -> None:
             kept -= len(_KEPT.popitem(last=False)[1])
 
 
-def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
+def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Memoized s -> L(h)(s), the working representation of a transform.
+
+    The closure takes one s and returns a float, or a list, tuple or array
+    of s and returns an array of their values: the s it has not seen are
+    queued on its store and transformed in one sweep (see
+    ``forward_laplace``), each still one ``forward_laplace`` call.  A
+    solver asks for every s it will need this way before it inverts from
+    the memo.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
     h is evaluated once per truncation rung and once per quadrature pass,
@@ -336,10 +434,18 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], flo
     with _KEPT_LOCK:
         memo = dict(_KEPT.get(key, ()))
 
-    def fn(s: float) -> float:
-        if s not in memo:
-            memo[s] = forward_laplace(h, s, _store=store)
-        return memo[s]
+    def fn(s):
+        if not isinstance(s, (list, tuple, np.ndarray)):
+            if s not in memo:
+                memo[s] = forward_laplace(h, s, _store=store)
+            return memo[s]
+        wanted = [float(x) for x in s]
+        missing = [x for x in dict.fromkeys(wanted) if x not in memo]
+        with store.lock:
+            store.queue = missing
+        for x in missing:
+            memo[x] = forward_laplace(h, x, _store=store)
+        return np.array([memo[x] for x in wanted])
 
     if key is not None:
         weakref.finalize(fn, _keep, key, memo).atexit = False
@@ -402,7 +508,14 @@ def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
 
 
 def _invert_on_grid(F: Callable[[float], float], offsets: np.ndarray,
-                    inversion: InversionConfig) -> np.ndarray:
+                    inversion: InversionConfig, transforms: tuple = ()) -> np.ndarray:
+    """F inverted at every offset.  Each of the ``transforms`` F reads, in
+    the order F reads them, is first asked for the Stehfest nodes of every
+    positive offset at once, so the inversions read its memo."""
+    nodes = [(k + 1) * (LN2 / u) for u in offsets.tolist() if u > 0.0
+             for k in range(inversion.stehfest_terms)]
+    for transform in transforms:
+        transform(nodes)
     return np.array([invert_laplace(F, u, inversion) for u in offsets])
 
 
@@ -468,7 +581,7 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     offsets = grid - a
     values = np.zeros_like(offsets)
     positive = offsets > 0.0
-    values[positive] = _invert_on_grid(F, offsets[positive], inversion)
+    values[positive] = _invert_on_grid(F, offsets[positive], inversion, (M, G))
 
     reference = choquet_convolution(problem, quadrature)
     residual = float(np.max(np.abs(values - reference) / (1.0 + np.abs(reference))))
@@ -481,13 +594,13 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
 def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
                    inversion: InversionConfig, residual_threshold: float,
                    decisive_ratio: float, monotone_slack: float, *,
-                   denominator: Callable[[float], float], denominator_name: str,
+                   transform: Callable, transform_name: str,
                    kernel: Callable[[np.ndarray], np.ndarray], recovers_m: bool,
                    admissible: tuple = ()) -> SolveReport:
     """The inverse pipeline shared by problems 2 and 3, on offsets u = t - a.
 
     Checks f(a) = 0 and that f (and the ``admissible`` named expressions)
-    are in F+, inverts F_a(s) / denominator(s), excludes a wild first
+    are in F+, inverts F_a(s) / (s transform(s)), excludes a wild first
     sample, and certifies the rest.  The recovery is then verified by a
     not-a-knot cubic spline with knots at 0, a graded ladder
     u_0 {1/16, 1/8, 1/4, 1/2, 3/4} in the leading gap (u_0 the first kept
@@ -515,13 +628,13 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     Fa = transform_of(_rebased(f, a))
 
     def Q(s: float) -> float:
-        den = denominator(s)
+        den = s * transform(s)
         if den == 0.0 or abs(den) < 1e-280:
-            raise GVanishesError(f"{denominator_name} vanished at s = {s!r}")
+            raise GVanishesError(f"s {transform_name} vanished at s = {s!r}")
         return Fa(s) / den
 
     offsets = grid - a
-    values = _invert_on_grid(Q, offsets, inversion)
+    values = _invert_on_grid(Q, offsets, inversion, (transform, Fa))
     report_grid = offsets if recovers_m else grid
 
     excluded = _flag_first_point(values)
@@ -532,7 +645,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 
     kept_u = offsets[kept]
     ladder = kept_u[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    ladder_v = _invert_on_grid(Q, ladder, inversion)
+    ladder_v = _invert_on_grid(Q, ladder, inversion, (transform, Fa))
     knots_u = np.concatenate(([0.0], ladder, kept_u))
     # g at u = 0 is the line through the ladder's first two samples, at
     # u_0/16 and u_0/8, clipped at 0
@@ -569,7 +682,7 @@ def solve_problem2(f: Expr, d: Distortion, a: float, t_grid,
     M = transform_of(d.m)
     return _solve_inverse(
         f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,
-        denominator=lambda s: s * M(s), denominator_name="s M(s)",
+        transform=M, transform_name="M(s)",
         kernel=d.density, recovers_m=False)
 
 
@@ -591,5 +704,5 @@ def solve_problem3(f: Expr, g: Expr, a: float, t_grid,
     G = transform_of(g_a)
     return _solve_inverse(
         f, a, t_grid, quadrature, inversion, residual_threshold, decisive_ratio, monotone_slack,
-        denominator=lambda s: s * G(s), denominator_name="s G_a(s)",
+        transform=G, transform_name="G_a(s)",
         kernel=g_a, recovers_m=True, admissible=(("g", g),))

@@ -29,6 +29,11 @@ MAX_ROW_NODES = 2 ** 22
 #: enough that the expression temporaries stay in cache and peak memory stays flat
 BATCH_NODES = 8192
 
+#: most values a pass of many integrands over one interval computes at once
+#: (see ``composite_gauss_legendre``): an integrand there is a few
+#: elementwise passes over a block, so larger blocks pay less call overhead
+BLOCK_NODES = 65536
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -89,15 +94,25 @@ def _require_row(nodes: int) -> None:
             f"a quadrature row of {nodes} nodes exceeds the cap of {MAX_ROW_NODES}")
 
 
-def _batched(fn, out: np.ndarray, cost: int = 1) -> np.ndarray:
+def _batched(fn, out: np.ndarray, cost: int = 1, nodes: int | None = None) -> np.ndarray:
     """out[part] = fn(part) for consecutive slices ``part`` of ``out``'s
-    rows, each of at most BATCH_NODES nodes, where a row costs ``cost``
-    nodes (a row that costs more than BATCH_NODES goes alone)."""
-    step = max(1, BATCH_NODES // cost)
+    rows, each of at most ``nodes`` (BATCH_NODES by default) nodes, where a
+    row costs ``cost`` nodes (a row that costs more goes alone)."""
+    step = max(1, (BATCH_NODES if nodes is None else nodes) // cost)
     for start in range(0, len(out), step):
         part = slice(start, start + step)
         out[part] = fn(part)
     return out
+
+
+def _dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The pass of each row of ``values``, its dot with the weights (one
+    row of weights for all, or one per row): a stack of (1 x n) @ (n x 1)
+    products, each the bits of ``row @ w``, where a single matrix-vector
+    product would sum in another order.  A sum that overflows is left to
+    the finite check of the doubling loop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values[:, None, :] @ weights[..., None])[:, 0, 0]
 
 
 def _cell_nodes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,48 +150,97 @@ def _pass_nodes(a: float, b: float, cells: int, grading: float,
 
 
 def composite_gauss_legendre(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable,
     a: float,
     b: float,
     cfg: QuadratureConfig,
     subintervals: int,
-) -> float:
+    rows: np.ndarray | None = None,
+) -> float | np.ndarray:
     """One pass on a mesh of ``subintervals`` cells; ``fn`` must map an
-    ndarray of points to values."""
+    ndarray of points to values.  Given ``rows``, an array of row labels,
+    ``fn(labels, points)`` maps some of them to one row of values each,
+    and the pass returns one value per row: blocks of whole rows, of at
+    most BLOCK_NODES values, are computed at once, and each row is then
+    reduced with its own dot, the bits of its pass alone."""
     points, weights = _pass_nodes(a, b, subintervals, cfg.endpoint_grading,
                                   cfg.nodes_per_subinterval)
-    return float(np.asarray(fn(points), dtype=float) @ weights)
+    if rows is None:
+        return float(_dots(np.asarray(fn(points), dtype=float)[None], weights)[0])
+    return _batched(lambda part: _dots(fn(rows[part], points), weights),
+                    np.empty(len(rows)), cost=points.size, nodes=BLOCK_NODES)
+
+
+def _require_finite(values: np.ndarray, pending: np.ndarray,
+                    where: Callable[[int], str]) -> np.ndarray:
+    """``values``, the pass of the rows ``pending``, if every one is finite;
+    checked before any arithmetic, where inf - inf would warn."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DivergentIntegralError(
+            f"a quadrature pass is not finite{where(int(pending[bad[0]]))}")
+    return values
+
+
+def _doubling(pass_of: Callable[[np.ndarray, int], np.ndarray], size: int,
+              cfg: QuadratureConfig, floor: float, where: Callable[[int], str],
+              first: np.ndarray | None = None) -> np.ndarray:
+    """The mesh-doubling loop of ``size`` rows, where ``pass_of(pending,
+    cells)`` is the pass of the rows ``pending`` on meshes of ``cells``
+    cells.  A row stops at the first doubling that changes it by at most
+    refinement_tolerance * (floor + |value|), and its value is that pass;
+    ``first`` is the pass on the first mesh, when it has been taken.  The
+    first pass that is not finite, or the first row still pending after
+    max_refinements doublings, raises, named by ``where(row)``."""
+    cells, pending, out = cfg.subintervals, np.arange(size), np.empty(size)
+    if not size:
+        return out
+    prev = _require_finite(pass_of(pending, cells) if first is None else first, pending, where)
+    for _ in range(cfg.max_refinements):
+        cells *= 2
+        cur = _require_finite(pass_of(pending, cells), pending, where)
+        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (floor + np.abs(cur))
+        out[pending[done]] = cur[done]
+        pending, prev = pending[~done], cur[~done]
+        if not pending.size:
+            return out
+    raise DivergentIntegralError(f"quadrature did not stabilize after {cfg.max_refinements} "
+                                 f"mesh doublings{where(int(pending[0]))}")
 
 
 def integrate(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable,
     a: float,
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     absolute_floor: float = 1.0,
-) -> float:
+    rows: np.ndarray | None = None,
+    first: np.ndarray | None = None,
+) -> float | np.ndarray:
     """Integrate ``fn`` over [a, b] with mesh-doubling refinement.
 
     Stops once |change| <= refinement_tolerance * (absolute_floor + |value|);
-    a failure to converge within ``max_refinements`` raises
-    :class:`DivergentIntegralError`.  The transforms integrate here: their
-    passes over [0, T] repeat for every s, and a cached pass costs 0.4 us
-    against 100 us to build a 96-cell row for :func:`integrate_rows`.
+    a failure to converge within ``max_refinements``, or a pass that is not
+    finite, raises :class:`DivergentIntegralError`.  Given ``rows``, an
+    array of row labels, ``fn(labels, points)`` is one integrand per label
+    (see :func:`composite_gauss_legendre`): the rows share each pass over
+    [a, b], each stops on its own, and one value per row is returned, each
+    the bits of its integral alone.  ``first`` is the rows' pass on the
+    first mesh, when the caller has taken it.  The transforms integrate
+    here, one call per truncation window: their rows share the nodes of
+    the passes over [0, T], which are kept.
     """
-    if b == a:
-        return 0.0
-    n = cfg.subintervals
-    prev = composite_gauss_legendre(fn, a, b, cfg, n)
-    for _ in range(cfg.max_refinements):
-        n *= 2
-        cur = composite_gauss_legendre(fn, a, b, cfg, n)
-        if abs(cur - prev) <= cfg.refinement_tolerance * (absolute_floor + abs(cur)):
-            return cur
-        prev = cur
-    raise DivergentIntegralError(
-        f"quadrature did not stabilize after {cfg.max_refinements} mesh doublings"
-    )
+    if rows is None:
+        def pass_of(pending, cells):
+            return np.array([composite_gauss_legendre(fn, a, b, cfg, cells)])
+    else:
+        def pass_of(pending, cells):
+            return composite_gauss_legendre(fn, a, b, cfg, cells, rows=rows[pending])
+    size = 1 if rows is None else len(rows)
+    values = (np.zeros(size) if b == a
+              else _doubling(pass_of, size, cfg, absolute_floor, lambda _: "", first))
+    return float(values[0]) if rows is None else values
 
 
 def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: np.ndarray,
@@ -186,38 +250,29 @@ def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: n
     row is :func:`integrate`'s value, bit for bit: its nodes, its dot and its
     stop rule with floor 1.  A pass sweeps batches of whole rows of at most
     BATCH_NODES nodes (a larger row goes alone, evaluated BATCH_NODES at a
-    time).  The first row that does not converge raises, named by ``at[i]``."""
+    time).  The first row that does not converge, or the first whose pass
+    is not finite, raises, named by ``at[i]``."""
     lo, per_cell = np.broadcast_to(lo, hi.shape), cfg.nodes_per_subinterval
 
     def rows_pass(pending: np.ndarray, cells: int) -> np.ndarray:
         per_row = cells * per_cell
 
-        def rows(part: slice) -> list:
+        def rows(part: slice) -> np.ndarray:
             ids = pending[part]
             nodes, weights = _pass_rows(lo[ids], hi[ids], cells, cfg.endpoint_grading, per_cell)
             owners, flat = np.repeat(ids, per_row), nodes.reshape(-1)
             # each slice's values overwrite the nodes they came from
             _batched(lambda s: fn(owners[s], flat[s]), flat)
-            return [float(row @ w) for row, w in zip(nodes, weights)]
+            return _dots(nodes, weights)
 
         return _batched(rows, np.empty(pending.size), cost=per_row)
 
-    cells = cfg.subintervals
     out = np.zeros(hi.shape)
-    pending = np.flatnonzero(hi != lo)
-    if not pending.size:
-        return out
-    prev = rows_pass(pending, cells)
-    for _ in range(cfg.max_refinements):
-        cells *= 2
-        cur = rows_pass(pending, cells)
-        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (1.0 + np.abs(cur))
-        out[pending[done]] = cur[done]
-        pending, prev = pending[~done], cur[~done]
-        if not pending.size:
-            return out
-    raise DivergentIntegralError(f"quadrature did not stabilize after {cfg.max_refinements} "
-                                 f"mesh doublings at t = {float(at[pending[0]])!r}")
+    nonempty = np.flatnonzero(hi != lo)
+    out[nonempty] = _doubling(lambda pending, cells: rows_pass(nonempty[pending], cells),
+                              nonempty.size, cfg, 1.0,
+                              lambda i: f" at t = {float(at[nonempty[i]])!r}")
+    return out
 
 
 def convolve(kernel, factor, spans: np.ndarray, knots: np.ndarray, nodes: int) -> np.ndarray:

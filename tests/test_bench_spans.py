@@ -34,21 +34,26 @@ def test_traced_name_resolves(module_name, path):
 def test_traced_derive_shows_the_transform_layers():
     # transforms share their samples, so evaluate runs less often than
     # forward_laplace; the trace must still see transforms, quadrature
-    # passes and the truncation search's own evaluations
+    # passes and the truncation search's own evaluations, in a derive and
+    # in an identify, whose transforms are swept many s at a time
     from choqint.cli import main
 
-    tracer = _spans().Tracer()
-    tracer.install()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
-                         "--t", "1.1:3:5"])
-    finally:
-        tracer.uninstall()
-    tracer.collect()
-    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    assert code == 0
-    assert metrics["laplace.transforms"] > 0
-    assert metrics["quadrature.passes"] > 0
-    assert metrics["laplace.truncation.evaluate_calls"] > 0
-    assert metrics["exprlang.evaluate.calls"] < metrics["laplace.transforms"]
+    for argv in (["derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
+                  "--t", "1.1:3:5"],
+                 ["identify", "--f", "pow(t-2,5.5)", "--g", "sqrt(t-2)", "--a", "2",
+                  "--t", "2.1:5:10"]):
+        tracer = _spans().Tracer()
+        tracer.install()
+        try:
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(io.StringIO())):
+                code = main(argv)
+        finally:
+            tracer.uninstall()
+        tracer.collect()
+        metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+        assert code == 0, argv[0]
+        assert metrics["laplace.transforms"] > 0, argv[0]
+        assert metrics["quadrature.passes"] > 0, argv[0]
+        assert metrics["laplace.truncation.evaluate_calls"] > 0, argv[0]
+        assert metrics["exprlang.evaluate.calls"] < metrics["laplace.transforms"], argv[0]

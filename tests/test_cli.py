@@ -65,6 +65,35 @@ def test_runs_in_one_process_print_the_bytes_of_fresh_ones(capsys):
     assert [code for code, _ in alone] == [code for _, _, code in GOLDEN_RUNS]
 
 
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    # a usage error, then a derive and a verify, through main in one
+    # process: the parser is built once, and each run prints what a fresh
+    # process prints (stderr apart from its timing line)
+    from choqint import cli
+
+    built = []
+
+    def build_parser():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+
+    def without_timing(stderr):
+        return [line for line in stderr.splitlines() if " done in " not in line]
+
+    usage = ["derive", "--f", "t", "--m", "t", "--t", "0.1:1:3", "--route-tol", "1"]
+    for argv in (usage, ARGV["derive"], ARGV["verify"]):
+        code = main_exit_code(argv)
+        here = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, here.out) == (fresh.returncode, fresh.stdout), argv[0]
+        assert without_timing(here.err) == without_timing(fresh.stderr), argv[0]
+    assert built == [1]
+
+
 # one admissible run per subcommand
 ARGV = {
     "integrate": ["integrate", "--g", "t", "--m", "t", "--a", "0", "--t", "0:1:3"],
@@ -129,6 +158,14 @@ class TestExitCodes:
         proc = run_cli("integrate", "--g", "t", "--m", "t", "--a", "0",
                        "--t", "0:1:1")
         assert proc.returncode == 2
+
+    def test_a_pass_that_overflows_is_4_without_a_warning(self):
+        # the integral at t = 5e299 overflows: one numerical-failure line
+        # naming it, and no numpy warning before it
+        proc = run_cli("integrate", "--g", "t", "--m", "t", "--a", "0", "--t", "0:1e300:3")
+        assert proc.returncode == 4
+        assert proc.stderr == ("choqint: numerical failure: a quadrature pass is not finite "
+                               "at t = 5e+299\n")
 
     REJECTED_CONFIG = [
         ("derive", "--stehfest-terms", "15"),

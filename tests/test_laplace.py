@@ -34,6 +34,7 @@ from choqint.exprlang import Expr, Mul, Num, Var, render
 from choqint.laplace import (
     KEPT_TRANSFORM_VALUES,
     TAIL_BOUND,
+    TRANSFORM_QUADRATURE,
     _KEPT,
     _CubicSpline,
     _SampleStore,
@@ -408,6 +409,11 @@ TRUNCATED = {
 }
 
 
+def window(store, s, target, start=0):
+    """The window exponent of one s, searched as a set of one."""
+    return int(_truncation_exponent(store, np.array([s]), np.array([target]), start)[0])
+
+
 def search_outcome(search):
     """The window exponent a search returns, or the error it raises."""
     try:
@@ -427,12 +433,12 @@ class TestTruncationSearch:
     def test_resumed_search_finds_the_window_of_a_fresh_one(self, name, s, tighter):
         h, target = TRUNCATED[name], TAIL_BOUND * 10.0 ** -tighter
         fresh = _SampleStore(h)
-        from_zero = search_outcome(lambda: _truncation_exponent(fresh, s, target))
+        from_zero = search_outcome(lambda: window(fresh, s, target))
         store = _SampleStore(h)
-        first = search_outcome(lambda: _truncation_exponent(store, s, TAIL_BOUND))
+        first = search_outcome(lambda: window(store, s, TAIL_BOUND))
         if isinstance(first, int):
             resumed = search_outcome(
-                lambda: _truncation_exponent(store, s, target, start=first))
+                lambda: window(store, s, target, start=first))
             assert resumed == from_zero
         else:
             # a tighter target searches at least as far, so it fails alike
@@ -440,25 +446,167 @@ class TestTruncationSearch:
         # the same rungs were sampled: a DomainError came at the same rung
         assert store.ladder == fresh.ladder
 
+    @given(name=st.sampled_from(sorted(TRUNCATED)),
+           s_values=st.lists(st.floats(min_value=0.02, max_value=60.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_searches_together_find_the_windows_of_searches_alone(self, name, s_values):
+        # and climb the ladder only as far as the furthest of them needs
+        h = TRUNCATED[name]
+        alone = []
+        for s in s_values:
+            store = _SampleStore(h)
+            alone.append((search_outcome(lambda: window(store, s, TAIL_BOUND)), store.ladder))
+        together = _SampleStore(h)
+        windows = search_outcome(lambda: _truncation_exponent(
+            together, np.array(s_values), np.full(len(s_values), TAIL_BOUND)).tolist())
+        failed = [outcome for outcome, _ in alone if not isinstance(outcome, int)]
+        if failed:
+            # the error of one of them, met as it meets it alone
+            assert windows in failed
+        else:
+            assert windows == [outcome for outcome, _ in alone]
+            assert together.ladder == max((ladder for _, ladder in alone), key=len)
+
     def test_the_cases_reach_their_features(self):
         # exp(t) at s = 1.1 has a window at 2^9; a tighter target reaches
         # the rung 2^10, where exp overflows, and finds none
         store = _SampleStore(TRUNCATED["overflow"])
-        k = _truncation_exponent(store, 1.1, TAIL_BOUND)
+        k = window(store, 1.1, TAIL_BOUND)
         with pytest.raises(DivergentIntegralError):
-            _truncation_exponent(store, 1.1, 1e-30, start=k)
+            window(store, 1.1, 1e-30, start=k)
         assert (k, store.ladder[10]) == (9, math.inf)
         # at s = 5 the search steps over the infinite rung 2^3 to 2^4
         store = _SampleStore(TRUNCATED["hole"])
-        assert _truncation_exponent(store, 5.0, TAIL_BOUND) == 4
+        assert window(store, 5.0, TAIL_BOUND) == 4
         assert store.ladder[3] == math.inf
         # sqrt(40 - t) at s = 1 has a window at 2^5; a tighter target
         # leaves the function's window at the rung 2^6
         store = _SampleStore(TRUNCATED["window"])
-        k = _truncation_exponent(store, 1.0, TAIL_BOUND)
+        k = window(store, 1.0, TAIL_BOUND)
         with pytest.raises(DomainError, match=re.escape("at t = 64.0")):
-            _truncation_exponent(store, 1.0, 1e-30, start=k)
+            window(store, 1.0, 1e-30, start=k)
         assert k == 5
+
+
+def transform_outcome(h, s):
+    """The transform of ``h`` at one s, taken alone, or the error it raises."""
+    try:
+        return forward_laplace(h, s)
+    except (DivergentIntegralError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+#: functions a sweep must transform as each s alone would, each with the
+#: range its s are drawn from: power families; a function defined only on
+#: [0, 40] (a small s leaves it); one with no window below s ~ 1.05; a
+#: callable with an infinite rung; a ramp whose transform is subnormal
+SWEPT = {
+    "power": (lambda c, p: parse(f"{c!r}*pow(t, {p!r})"), (0.05, 40.0)),
+    "window": (lambda c, p: TRUNCATED["window"], (0.2, 12.0)),
+    "overflow": (lambda c, p: TRUNCATED["overflow"], (0.9, 6.0)),
+    "hole": (lambda c, p: TRUNCATED["hole"], (0.5, 20.0)),
+    "subnormal": (lambda c, p: parse("(t - 0.7 + abs(t - 0.7))/2"), (300.0, 1500.0)),
+}
+
+
+class TestSweep:
+    """A closure asked for a sequence of s transforms them in one sweep;
+    each value has the bits of the transform at that s alone, and a set
+    that fails raises what its first failing s raises alone."""
+
+    @given(name=st.sampled_from(sorted(SWEPT)), c=st.floats(0.3, 3.0),
+           p=st.floats(-0.35, 5.5), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_each_s_of_a_sweep_is_its_transform_alone(self, name, c, p, data):
+        make, (lo, hi) = SWEPT[name]
+        h = make(c, p)
+        distinct = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+        # repeats, out of order
+        s_values = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=16))
+        alone = [transform_outcome(h, s) for s in s_values]
+        failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
+        _KEPT.clear()
+        F = transform_of(h)
+        if failed:
+            kind, message = failed[0]
+            with pytest.raises(kind, match=re.escape(message) + "$"):
+                F(s_values)
+        else:
+            got = F(s_values)
+            assert got.tobytes() == np.array(alone).tobytes()
+            assert [F(s) for s in s_values] == got.tolist()
+
+    def test_no_integral_is_refined_at_a_window_that_is_then_left(self):
+        # t at s = 2 has its first window at 16 and its refined one at 32:
+        # over [0, 16] only the first pass is taken
+        store = _SampleStore(parse("t"))
+        assert forward_laplace(parse("t"), 2.0, _store=store) == pytest.approx(0.25, rel=1e-13)
+        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
+        assert [key for key in store.passes if key[0] == 16.0] == [(16.0, first)]
+        assert (32.0, 2 * first) in store.passes
+
+    def test_a_window_the_first_pass_misjudged_is_checked_at_the_value(self):
+        # h reads as t on the ladder and on the first mesh, and as
+        # 1e-30 t exp(2.4 t) on every finer one: at s = 2.5 the first pass
+        # keeps the window 16, and the converged value moves it to 64
+        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
+
+        def h(t):
+            return t if t.size in (1, first) else 1e-30 * t * np.exp(2.4 * t)
+
+        want = 1e-28 * (1.0 - math.exp(-6.4) * 7.4)  # 1e-30 t exp(-0.1 t) over [0, 64]
+        assert forward_laplace(h, 2.5) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_a_set_raises_what_its_first_failing_s_raises_alone(self):
+        # alone, 3.0 fails at its first doubling and 0.9 in its truncation
+        # search; a sweep meets the failure of 0.9 first, yet raises 3.0's
+        exp = parse("exp(t)")
+        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
+
+        def h(t):
+            if t.size > first:
+                raise ValueError(f"no pass of {t.size} nodes")
+            return exp(t)
+
+        with pytest.raises(ValueError, match=f"no pass of {2 * first} nodes"):
+            forward_laplace(h, 3.0)
+        with pytest.raises(DivergentIntegralError, match=r"at s = 0\.9$"):
+            forward_laplace(h, 0.9)
+        with pytest.raises(ValueError, match=f"no pass of {2 * first} nodes"):
+            transform_of(h)([3.0, 0.9])
+
+    def test_a_non_positive_s_fails_a_sweep_as_it_fails_alone(self):
+        F = transform_of(parse("t"))
+        with pytest.raises(NonPositiveSError, match=re.escape("got -1.0")):
+            F([2.0, -1.0, 0.0])
+        assert F([2.0, 3.0]).tolist() == [forward_laplace(parse("t"), s) for s in (2.0, 3.0)]
+
+    def test_a_solve_asks_each_transform_for_all_its_s_at_once(self, monkeypatch):
+        # identify inverts at 12 offsets and then at the 5 offsets of the
+        # verification ladder: per transform, one sweep of the distinct
+        # Stehfest nodes of each set (nodes repeat across offsets that are
+        # multiples of each other), and every forward_laplace call takes a
+        # swept value
+        sweeps = []
+
+        def spy(store, s_values, _real=laplace._sweep_all):
+            sweeps.append(len(s_values))
+            return _real(store, s_values)
+
+        monkeypatch.setattr(laplace, "_sweep_all", spy)
+        seen = transformed_renders(monkeypatch)
+        offsets = np.linspace(0.25, 3.0, 12)
+        report = solve_problem3(parse("pow(t - 2, 5.5)"), parse("sqrt(t - 2)"), 2.0,
+                                2.0 + offsets)
+        assert report.verdict is Verdict.EXISTS
+
+        def nodes(us):
+            return {(k + 1) * (math.log(2.0) / u) for u in us.tolist() for k in range(16)}
+
+        on_grid = nodes(offsets)
+        on_ladder = nodes(offsets[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])) - on_grid
+        assert sweeps == [len(on_grid)] * 2 + [len(on_ladder)] * 2
+        assert len(seen) == sum(sweeps)
 
 
 class TestInvertLaplace:

@@ -1,6 +1,9 @@
 """A quadrature pass is one dot of the integrand's values with folded
 weights; it must sum what the cellwise reduction summed."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,63 @@ class TestIntegrateRows:
         with pytest.raises(DivergentIntegralError, match="of 1280 nodes exceeds the cap of 1000"):
             integrate_rows(lambda rows, x: np.abs(x - 0.3), 0.0, np.array([1.0]), cfg,
                            at=np.array([1.0]))
+
+
+class TestRowsOfOneInterval:
+    """``integrate`` with rows: one integrand per row over one interval,
+    each row its one-row integral, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    # kinks left of the interval: every row converges at either rule
+    @given(rows=st.lists(st.tuples(st.floats(0.1, 4.0), st.floats(-1.0, 0.0)),
+                         min_size=1, max_size=6),
+           b=st.floats(0.5, 4.0), block=st.sampled_from([1, 3000, 65536]),
+           cfg=st.sampled_from([DEFAULT_QUADRATURE, TRANSFORM_QUADRATURE]))
+    def test_each_row_is_its_one_row_integral_bit_for_bit(self, rows, b, block, cfg):
+        scale = np.array([row[0] for row in rows])
+        shift = np.array([row[1] for row in rows])
+        _, one_fn = row_integrand(scale, shift)
+
+        def rows_fn(labels, x):
+            return scale[labels, None] * np.sqrt(np.abs(x - shift[labels, None])) + x * x
+
+        labels = np.arange(len(rows))
+        # blocks of one row, of some rows, and of all
+        with mock.patch.object(quadrature, "BLOCK_NODES", block):
+            first = composite_gauss_legendre(rows_fn, 0.0, b, cfg, cfg.subintervals, rows=labels)
+            got = integrate(rows_fn, 0.0, b, cfg, rows=labels)
+            resumed = integrate(rows_fn, 0.0, b, cfg, rows=labels, first=first)
+        points, weights = _pass_nodes(0.0, b, cfg.subintervals, cfg.endpoint_grading,
+                                      cfg.nodes_per_subinterval)
+        for i in labels:
+            # a row's pass is the plain vector dot of its values
+            assert first[i] == float(one_fn(i)(points) @ weights)
+            assert first[i] == composite_gauss_legendre(one_fn(i), 0.0, b, cfg, cfg.subintervals)
+            assert got[i] == resumed[i] == integrate(one_fn(i), 0.0, b, cfg), i
+
+    def test_no_rows_take_no_pass(self):
+        def fn(labels, x):
+            raise AssertionError("evaluated")
+
+        assert integrate(fn, 0.0, 1.0, rows=np.array([])).shape == (0,)
+
+
+class TestPassesThatOverflow:
+    """A pass that is not finite raises at once, with no numpy warning."""
+
+    def test_one_interval(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentIntegralError, match="pass is not finite"):
+                integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+            with pytest.raises(DivergentIntegralError, match="pass is not finite"):
+                integrate(lambda labels, x: np.full((labels.size, x.size), 1e308) * labels[:, None],
+                          0.0, 10.0, rows=np.array([0.0, 1.0]))
+
+    def test_the_first_row_that_overflows_is_named(self):
+        hi = np.array([1.0, 10.0, 20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentIntegralError, match=r"not finite at t = 7\.0$"):
+                integrate_rows(lambda rows, x: np.full_like(x, 1e308), 0.0, hi,
+                               at=np.array([5.0, 7.0, 9.0]))
