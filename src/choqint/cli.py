@@ -12,9 +12,11 @@ inversion: --stehfest-terms --monotone-slack --residual-tol --decisive-ratio
 route tolerances: --route-tol --hereditary-tol --shift-tol
 
 Every subcommand also takes --a A and --t START:STOP:POINTS, and echoes its
-inputs and settings, no others, in the report.  A flag another subcommand
-reads is a usage error, as is a non-finite A, START or STOP, a negative,
-infinite or NaN tolerance, and any argument the library refuses with
+inputs and settings, no others, in the report.  The value of --a, --t or a
+function flag may start with a minus ('--a -1e3' reads as '--a=-1e3').  A
+flag another subcommand reads is a usage error, as is a non-finite A, START
+or STOP, a negative, infinite or NaN tolerance, an ``--output`` path that
+cannot be written, and any argument the library refuses with
 ``InvalidArgumentError``, such as a grid whose points the doubles near A
 cannot keep apart.  Reports go to stdout or ``--output`` as CSV
 (default) or JSON; timing and diagnostics go to stderr.  Exit codes: 0
@@ -313,23 +315,31 @@ _RUNNERS = {
 }
 
 
-def _emit(report: RunReport, args, seconds: float) -> None:
+def _emit(report: RunReport, args, seconds: float) -> bool:
+    """Write the report and the timing line; False, with one line on
+    stderr and no timing line, if the output file cannot be written."""
     text = report.to_json_text() if args.format == "json" else report.to_csv_text()
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"choqint: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return False
     print(f"{report.command}: done in {seconds:.3f}s", file=sys.stderr)
+    return True
 
 
-def _join_t_flag(argv: list[str]) -> list[str]:
-    """Fold '--t -1:1:5' into '--t=-1:1:5' so a leading minus in the range
-    is not mistaken for an option."""
+def _join_values(argv: list[str]) -> list[str]:
+    """Fold '--a -1e3' into '--a=-1e3', and so for --t and the function
+    flags, so that a value with a leading minus is not read as an option."""
+    flags = {"--a", "--t"} | {f"--{name}" for _, *names in COMMANDS.values() for name in names}
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--t":
-            out[-1] = f"--t={arg}"
+        if out and out[-1] in flags:
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -344,7 +354,7 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(_join_t_flag(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     started = time.perf_counter()
     try:
         report = _RUNNERS[args.command](args)
@@ -360,7 +370,8 @@ def main(argv=None) -> int:
     except ChoqintError as exc:
         print(f"choqint: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(report, args, time.perf_counter() - started)
+    if not _emit(report, args, time.perf_counter() - started):
+        return EXIT_PARSE
     if report.command == "derive" and report.verdict == Verdict.DOES_NOT_EXIST.value:
         return EXIT_NO_DERIVATIVE
     if report.command == "verify" and report.verdict == "Fail":

@@ -197,8 +197,7 @@ class _CubicSpline:
 
 
 class _SampleStore:
-    """The samples of one transformed function, shared by every ``s`` it
-    serves.
+    """The samples and transforms of one function, shared by every s it serves.
 
     ``ladder[k]`` is the tail penalty log(1 + |h(2^k)|) of the truncation
     search (inf where h overflows), grown one rung at a time as searches
@@ -206,18 +205,16 @@ class _SampleStore:
     leaves the window, never earlier.  ``passes`` maps a quadrature pass,
     (T, number of nodes), to h at its nodes: every transform integrates
     with ``TRANSFORM_QUADRATURE``, so the nodes of a pass over [0, T]
-    depend on nothing else.  ``queue`` holds the s that the next transform
-    sweeps together, and ``swept`` their values until they are taken; the
-    lock guards both.
+    depend on nothing else.  ``transforms`` maps each s served to its
+    transform, from the values given on; a sweep writes it under the lock.
     """
 
-    def __init__(self, h: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, h: Callable[[np.ndarray], np.ndarray], transforms=()):
         # an Expr is callable too: Expr.__call__ is evaluate
         self.fn = lambda pts: np.asarray(h(pts), dtype=float)
         self.ladder: list[float] = []
         self.passes: dict[tuple[float, int], np.ndarray] = {}
-        self.queue: list[float] = []
-        self.swept: dict[float, float] = {}
+        self.transforms: dict[float, float] = dict(transforms)
         self.lock = threading.Lock()
 
     def rung(self, k: int) -> float:
@@ -352,7 +349,7 @@ def _sweep(store: _SampleStore, s_values: list[float]) -> dict[float, float]:
 
 
 def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
-                    _store: _SampleStore | None = None) -> float:
+                    _store: _SampleStore | None = None, _batch=()) -> float:
     """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail.
 
     T satisfies exp(-sT) (1 + h(T)) (1 + 1/s) <= 1e-12 and is then extended
@@ -363,25 +360,23 @@ def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
 
     ``h`` is sampled through a sample store: the truncation ladder h(2^k)
     and h at the nodes of each quadrature pass.  ``transform_of`` passes
-    the store of its function, so every s it serves shares the samples,
-    and queues on it the s it is about to ask for: the call for the first
-    of them transforms them all in one sweep, and the later calls take
-    their swept values.  Called alone, the transform sweeps its one s with
-    a store of its own.  Either way the values are the same bits, and a
-    sweep that fails raises what its first failing s raises alone.
+    its store, shared by every s it serves, and the ``_batch`` of s it asks
+    for: the first call for an s of the batch sweeps every s of it missing
+    from the store's table into that table.  Called alone, the transform
+    sweeps its one s with a store of its own.  Either way the values are
+    the same bits, and a sweep that fails raises what its first failing s
+    raises alone.
     """
     s = float(s)
     store = _SampleStore(h) if _store is None else _store
     with store.lock:
-        if s not in store.swept:
-            batch = store.queue if s in store.queue else [s]
-            store.queue = []
-            store.swept.update(_sweep(store, batch))
-        return store.swept.pop(s)
+        if s not in store.transforms:
+            batch = [x for x in _batch if x not in store.transforms] if s in _batch else [s]
+            store.transforms.update(_sweep(store, batch))
+        return store.transforms[s]
 
 
-#: the s -> value memos of transformed expressions, kept across solves
-#: (see ``transform_of``), least recently used first
+#: dropped closures' transform tables by rendered text, least recently used first
 _KEPT: OrderedDict[str, dict[float, float]] = OrderedDict()
 # solves in several threads share the kept memos
 _KEPT_LOCK = threading.Lock()
@@ -409,47 +404,46 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
     The closure takes one s and returns a float, or a list, tuple or array
     of s and returns an array of their values: the s it has not seen are
-    queued on its store and transformed in one sweep (see
-    ``forward_laplace``), each still one ``forward_laplace`` call.  A
-    solver asks for every s it will need this way before it inverts from
-    the memo.
+    the batch of each of their ``forward_laplace`` calls, so the first of
+    them transforms them all in one sweep.  A solver asks for every s it
+    will need this way before it inverts from the closure's table.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
     h is evaluated once per truncation rung and once per quadrature pass,
     whatever the number of s served; the samples live as long as the
-    closure, which a solver keeps for one solve.  The values of an ``Expr``
-    outlive the closure, up to ``KEPT_TRANSFORM_VALUES`` of them in the
-    process, so a later solve with the same expression, a distortion say,
-    transforms only the s it has not seen.  They are keyed by ``render(h)``,
-    the text that evaluates identically, not by ``Expr`` equality:
-    ``t*0.0 == t*-0.0``, yet the two evaluate to zeros of opposite sign.
-    A transform depends only on how h evaluates and on s, so a kept value
-    has the bits of a fresh one.  The closure starts from a copy of the kept
-    values and adds its own to them when it is dropped (``_keep``), so a
-    solve never loses values under it, and taking a value costs one dict
-    store.  A callable's memo lives with its closure.
+    closure, which a solver keeps for one solve.  The store's table of an
+    ``Expr`` starts from a copy of the values kept under ``render(h)`` and
+    is kept in their place when the closure is dropped (``_keep``), up to
+    ``KEPT_TRANSFORM_VALUES`` values in the process: a later solve with the
+    same expression, a distortion say, transforms only the s it has not
+    seen, and a solve never loses values under it.  The key is the text
+    that evaluates identically, not ``Expr`` equality: ``t*0.0 == t*-0.0``,
+    yet the two evaluate to zeros of opposite sign.  A transform depends
+    only on how h evaluates and on s, so a kept value has the bits of a
+    fresh one.  A callable's values live with its closure.
     """
-    store = _SampleStore(h)
     key = render(h) if isinstance(h, Expr) else None
     with _KEPT_LOCK:
-        memo = dict(_KEPT.get(key, ()))
+        store = _SampleStore(h, _KEPT.get(key, ()))
+    memo = store.transforms
 
     def fn(s):
         if not isinstance(s, (list, tuple, np.ndarray)):
-            if s not in memo:
-                memo[s] = forward_laplace(h, s, _store=store)
-            return memo[s]
+            return memo[s] if s in memo else forward_laplace(h, s, _store=store)
         wanted = [float(x) for x in s]
         missing = [x for x in dict.fromkeys(wanted) if x not in memo]
-        with store.lock:
-            store.queue = missing
         for x in missing:
-            memo[x] = forward_laplace(h, x, _store=store)
+            forward_laplace(h, x, _store=store, _batch=missing)
         return np.array([memo[x] for x in wanted])
 
     if key is not None:
         weakref.finalize(fn, _keep, key, memo).atexit = False
     return fn
+
+
+def _stehfest_nodes(t: float, terms: int) -> list[float]:
+    """The s that inversion at t reads: k ln 2 / t for k = 1 .. terms."""
+    return [(k + 1) * (LN2 / t) for k in range(terms)]
 
 
 def invert_laplace(F: Callable[[float], float], t: float,
@@ -459,8 +453,8 @@ def invert_laplace(F: Callable[[float], float], t: float,
     if t <= 0.0:
         raise InvalidArgumentError(f"inversion time must be positive, got {t!r}")
     weights = stehfest_weights(cfg.stehfest_terms)
-    scale = LN2 / t
-    return scale * math.fsum(w * F((k + 1) * scale) for k, w in enumerate(weights))
+    nodes = _stehfest_nodes(t, cfg.stehfest_terms)
+    return LN2 / t * math.fsum(w * F(s) for w, s in zip(weights, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +502,12 @@ def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
 
 
 def _invert_on_grid(F: Callable[[float], float], offsets: np.ndarray,
-                    inversion: InversionConfig, transforms: tuple = ()) -> np.ndarray:
+                    inversion: InversionConfig, transforms: tuple) -> np.ndarray:
     """F inverted at every offset.  Each of the ``transforms`` F reads, in
     the order F reads them, is first asked for the Stehfest nodes of every
-    positive offset at once, so the inversions read its memo."""
-    nodes = [(k + 1) * (LN2 / u) for u in offsets.tolist() if u > 0.0
-             for k in range(inversion.stehfest_terms)]
+    positive offset at once, so the inversions read its table."""
+    nodes = [s for u in offsets.tolist() if u > 0.0
+             for s in _stehfest_nodes(u, inversion.stehfest_terms)]
     for transform in transforms:
         transform(nodes)
     return np.array([invert_laplace(F, u, inversion) for u in offsets])
@@ -591,6 +585,11 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     return SolveReport(grid, values, cert, residual, verdict)
 
 
+def _verification_ladder(u0: float) -> np.ndarray:
+    """The offsets in (0, u0) that an inverse solve inverts again to verify."""
+    return u0 * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
+
+
 def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
                    inversion: InversionConfig, residual_threshold: float,
                    decisive_ratio: float, monotone_slack: float, *,
@@ -644,7 +643,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
                            _noise_slack(kept_values, monotone_slack))
 
     kept_u = offsets[kept]
-    ladder = kept_u[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
+    ladder = _verification_ladder(kept_u[0])
     ladder_v = _invert_on_grid(Q, ladder, inversion, (transform, Fa))
     knots_u = np.concatenate(([0.0], ladder, kept_u))
     # g at u = 0 is the line through the ladder's first two samples, at

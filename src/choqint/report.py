@@ -8,6 +8,7 @@ serialized forms and reported on stderr instead.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,8 +32,7 @@ def _json_scalar(value: Any) -> str:
             return "null"
         return format_float(value)
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"unsupported scalar {type(value).__name__}")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from choqint import differentiate, evaluate, parse, transform_of
 from choqint.cli import build_parser
-from choqint.laplace import _CubicSpline, stehfest_weights
+from choqint.laplace import _CubicSpline, _verification_ladder, stehfest_weights
 from golden_manifest import GOLDEN
 
 EPS = float(np.finfo(float).eps)
@@ -129,8 +129,7 @@ def _verification_knots(kept: np.ndarray) -> np.ndarray:
     """The knots of the solver's verification spline: 0, a graded ladder in
     the leading gap, the only offsets it inverts again, and the kept report
     offsets (``laplace._solve_inverse``)."""
-    ladder = kept[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
-    return np.concatenate(([0.0], ladder, kept))
+    return np.concatenate(([0.0], _verification_ladder(kept[0]), kept))
 
 
 def residual_bound(args, report) -> float:

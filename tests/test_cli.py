@@ -167,6 +167,16 @@ class TestExitCodes:
         assert proc.stderr == ("choqint: numerical failure: a quadrature pass is not finite "
                                "at t = 5e+299\n")
 
+    @pytest.mark.parametrize("target,reason", [("missing/out.csv", "No such file or directory"),
+                                               (".", "Is a directory")],
+                             ids=["no-directory", "a-directory"])
+    def test_an_output_that_cannot_be_written_is_2(self, target, reason, tmp_path, capsys):
+        # one line, and no timing line: nothing was done
+        path = tmp_path / target
+        code = main_exit_code([*ARGV["integrate"], "--output", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"choqint: cannot write {path}: {reason}\n"
+
     REJECTED_CONFIG = [
         ("derive", "--stehfest-terms", "15"),
         ("derive", "--nodes", "0"),
@@ -323,6 +333,26 @@ class TestExitCodes:
         assert "usage error" in proc.stderr
 
 
+#: (flag, a value with a leading minus, the rest of an admissible argv)
+MINUS_VALUES = [
+    ("--a", "-1e3", ["integrate", "--g", "t + 1000", "--m", "t", "--t", "-1000:-999:3"]),
+    ("--t", "-1:1:5", ["integrate", "--g", "t + 1", "--m", "t", "--a", "-1"]),
+    ("--g", "-1+2*t", ["integrate", "--m", "t", "--a", "1", "--t", "1:2:3"]),
+    ("--m", "-t+2*t", ["verify", "--g", "t", "--a", "0", "--t", "0:1:3"]),
+    ("--f", "-pow(t-1,3.5)+2*pow(t-1,3.5)", ["derive", "--m", "t^2/2", "--a", "1",
+                                             "--t", "1.1:3:10"]),
+]
+
+
+@pytest.mark.parametrize("flag,value,rest", MINUS_VALUES, ids=[row[0] for row in MINUS_VALUES])
+def test_a_value_with_a_leading_minus_reads_as_its_joined_form(flag, value, rest, capsys):
+    runs = []
+    for argv in ([*rest, "--format", "json", flag, value],
+                 [*rest, "--format", "json", f"{flag}={value}"]):
+        runs.append((main_exit_code(argv), capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 class TestChecksPerRun:
     @pytest.mark.parametrize("command,validations,certificates", [
         ("integrate", 1, 1),
@@ -389,6 +419,13 @@ class TestOutputs:
         lines = target.read_text().splitlines()
         assert lines[0] == "t,value"
         assert lines[1:] == ["0,0", "0.5,0", "1,0"]
+
+    @pytest.mark.parametrize("g", ["t\n+ 1", "t\t+ 1"], ids=["newline", "tab"])
+    def test_json_report_of_an_input_with_control_characters_loads(self, g, capsys):
+        code = main_exit_code(["integrate", "--g", g, "--m", "t", "--a", "0", "--t", "0:1:3",
+                               "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["g"] == g
 
     def test_integrate_with_verify_columns(self):
         proc = run_cli("integrate", "--g", "sqrt(t-1)", "--m", "t^2/2",

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -607,6 +608,73 @@ class TestSweep:
         on_ladder = nodes(offsets[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])) - on_grid
         assert sweeps == [len(on_grid)] * 2 + [len(on_ladder)] * 2
         assert len(seen) == sum(sweeps)
+
+
+def counted_sweeps(monkeypatch) -> list:
+    """The number of s of every sweep taken from now on."""
+    sweeps = []
+
+    def spy(store, s_values, _real=laplace._sweep_all):
+        sweeps.append(len(s_values))
+        return _real(store, s_values)
+
+    monkeypatch.setattr(laplace, "_sweep_all", spy)
+    return sweeps
+
+
+class TestOneTable:
+    """A closure's values live in one table, its sample store's, and the
+    batch a sweep serves is an argument of each call, which no other caller
+    of the closure can change."""
+
+    def test_threads_sharing_a_closure_each_take_one_sweep(self, monkeypatch):
+        # each thread's first transform waits for the other's: both have
+        # asked the closure for their s before either sweeps
+        h = parse("sqrt(t) + t^2/2")
+        s_values = np.geomspace(0.05, 40.0, 600).tolist()
+        sets = [s_values[0::2], s_values[1::2]]
+        want = [transform_of(h)(x).tobytes() for x in sets]
+        _KEPT.clear()
+        barrier, waited = threading.Barrier(2, timeout=30.0), set()
+
+        def spy(h, s, *args, _real=laplace.forward_laplace, **kwargs):
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                barrier.wait()
+            return _real(h, s, *args, **kwargs)
+
+        monkeypatch.setattr(laplace, "forward_laplace", spy)
+        sweeps = counted_sweeps(monkeypatch)
+        F, got, errors = transform_of(h), {}, []
+
+        def work(k):
+            try:
+                got[k] = F(sets[k])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert sweeps == [300, 300]
+        assert [got[k].tobytes() for k in range(2)] == want
+
+    def test_sequence_and_one_s_reads_fill_one_table(self, monkeypatch):
+        h = parse("sqrt(t) + t^2/2")
+        sweeps = counted_sweeps(monkeypatch)
+        F = transform_of(h)
+        table = inspect.getclosurevars(F).nonlocals["store"].transforms
+        first = F(1.0)
+        values = F([3.0, 1.0, 2.0, 3.0])
+        assert sweeps == [1, 2]
+        assert [F(s) for s in (2.0, 3.0, 1.0)] == values[[2, 0, 1]].tolist()
+        assert sweeps == [1, 2]
+        assert table == {1.0: first, 2.0: values[2], 3.0: values[0]}
+        del F
+        assert _KEPT == {render(h): table} and _KEPT[render(h)] is table
 
 
 class TestInvertLaplace:
