@@ -109,7 +109,7 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
     bracket can reach the tolerance, so that second rule ends the loop.  Each
     bracket stops at its own first final halving, whatever the other pairs."""
     lo = np.full_like(alphas, a)
-    hi = np.broadcast_to(ts, alphas.shape).astype(float)
+    hi = np.broadcast_to(ts, alphas.shape)
     lo_below = np.zeros(alphas.shape, dtype=bool)
     mid = 0.5 * (lo + hi)
     # a final bracket is at most `closed` wide, and a halving keeps over half a bracket
@@ -117,23 +117,19 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
     narrowest = float(np.min(hi)) - a
     closed = max(BISECTION_TOL, float(np.spacing(max(abs(a), float(np.max(np.abs(hi)))))))
     first_test = int(min(np.log2(narrowest / closed), 100.0)) - 3 if narrowest > closed else 0
-    lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     for step in range(100):
         reached = evaluate(g, mid) >= alphas
-        # np.where(reached, mid, hi) and its mirror as bit selects: np.where branches, ~3x slower
-        take = -reached.astype(np.int64)
-        hi_bits ^= (hi_bits ^ mid_bits) & take
-        lo_bits ^= (lo_bits ^ mid_bits) & ~take
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
         lo_below |= ~reached
-        np.multiply(lo + hi, 0.5, out=mid)
+        mid = 0.5 * (lo + hi)
         if step >= first_test:
             final = (hi - lo <= BISECTION_TOL) | (mid == hi) | ((mid == lo) & lo_below)
             if final.all():
                 break
             # a final bracket collapses onto hi, where further halvings move nothing
-            take = -final.astype(np.int64)
-            lo_bits ^= (lo_bits ^ hi_bits) & take
-            mid_bits ^= (mid_bits ^ hi_bits) & take
+            lo = np.where(final, hi, lo)
+            mid = np.where(final, hi, mid)
     return hi
 
 

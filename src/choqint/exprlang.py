@@ -348,10 +348,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _byte_offset(src: str, index: int) -> int:
-    return len(src[:index].encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'number' | 'ident' | 'op' | 'end'
@@ -361,15 +357,16 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i = 0
+    i = offset = 0  # offset: the UTF-8 byte offset of src[i]
     while i < len(src):
         m = _TOKEN_RE.match(src, i)
         if m is None:
-            raise ParseError(_byte_offset(src, i), "a token", repr(src[i]))
+            raise ParseError(offset, "a token", repr(src[i]))
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), _byte_offset(src, i)))
+            tokens.append(_Token(m.lastgroup, m.group(), offset))
+        offset += len(m.group().encode("utf-8"))
         i = m.end()
-    tokens.append(_Token("end", "", _byte_offset(src, len(src))))
+    tokens.append(_Token("end", "", offset))
     return tokens
 
 

@@ -306,9 +306,10 @@ def _sweep_all(store: _SampleStore, s_values: list[float]) -> dict[float, float]
     first."""
     cfg = TRANSFORM_QUADRATURE
     s = np.array(list(dict.fromkeys(s_values)))
-    if np.any(s <= 0.0):
+    refused = ~(s > 0.0)  # NaN too
+    if refused.any():
         raise NonPositiveSError(
-            f"transform variable must be positive, got {float(s[s <= 0.0][0])!r}")
+            f"transform variable must be positive, got {float(s[refused][0])!r}")
     windows = _truncation_exponent(store, s, np.full(s.size, TAIL_BOUND))
     pending: dict[int, list[float]] = {}
     for x, k in zip(s.tolist(), windows.tolist()):
@@ -405,8 +406,8 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable:
     The closure takes one s and returns a float, or a list, tuple or array
     of s and returns an array of their values: the s it has not seen are
     the batch of each of their ``forward_laplace`` calls, so the first of
-    them transforms them all in one sweep.  A solver asks for every s it
-    will need this way before it inverts from the closure's table.
+    them transforms them all in one sweep.  A solver asks this way, once
+    per stage, for every s the stage inverts from.
 
     The closure owns one sample store of ``h`` (see ``forward_laplace``):
     h is evaluated once per truncation rung and once per quadrature pass,
@@ -450,8 +451,9 @@ def invert_laplace(F: Callable[[float], float], t: float,
                    cfg: InversionConfig = DEFAULT_INVERSION) -> float:
     """Gaver-Stehfest inversion (ln 2 / t) sum_k V_k F(k ln 2 / t)."""
     t = float(t)
-    if t <= 0.0:
-        raise InvalidArgumentError(f"inversion time must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        need = "finite" if t > 0.0 else "positive"
+        raise InvalidArgumentError(f"inversion time must be {need}, got {t!r}")
     weights = stehfest_weights(cfg.stehfest_terms)
     nodes = _stehfest_nodes(t, cfg.stehfest_terms)
     return LN2 / t * math.fsum(w * F(s) for w, s in zip(weights, nodes))
@@ -501,16 +503,15 @@ def _inversion_grid(a: float, t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _invert_on_grid(F: Callable[[float], float], offsets: np.ndarray,
-                    inversion: InversionConfig, transforms: tuple) -> np.ndarray:
-    """F inverted at every offset.  Each of the ``transforms`` F reads, in
-    the order F reads them, is first asked for the Stehfest nodes of every
-    positive offset at once, so the inversions read its table."""
-    nodes = [s for u in offsets.tolist() if u > 0.0
-             for s in _stehfest_nodes(u, inversion.stehfest_terms)]
-    for transform in transforms:
-        transform(nodes)
-    return np.array([invert_laplace(F, u, inversion) for u in offsets])
+def _invert_on_grid(F: Callable[[np.ndarray], np.ndarray], offsets: np.ndarray,
+                    inversion: InversionConfig) -> np.ndarray:
+    """F inverted at every offset.  F takes an array of s: it is called once,
+    on the Stehfest nodes of every positive offset, and each inversion reads
+    its nodes' values."""
+    nodes = np.array([s for u in offsets.tolist() if u > 0.0
+                      for s in _stehfest_nodes(u, inversion.stehfest_terms)])
+    values = dict(zip(nodes.tolist(), F(nodes).tolist()))
+    return np.array([invert_laplace(values.__getitem__, u, inversion) for u in offsets])
 
 
 def _flag_first_point(values: np.ndarray) -> bool:
@@ -569,13 +570,14 @@ def solve_problem1(g: Expr, d: Distortion, a: float, t_grid,
     G = transform_of(_rebased(g, a))
     M = transform_of(d.m)
 
-    def F(s: float) -> float:
-        return s * M(s) * G(s)
+    def F(s: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return s * M(s) * G(s)
 
     offsets = grid - a
     values = np.zeros_like(offsets)
     positive = offsets > 0.0
-    values[positive] = _invert_on_grid(F, offsets[positive], inversion, (M, G))
+    values[positive] = _invert_on_grid(F, offsets[positive], inversion)
 
     reference = choquet_convolution(problem, quadrature)
     residual = float(np.max(np.abs(values - reference) / (1.0 + np.abs(reference))))
@@ -626,14 +628,18 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 
     Fa = transform_of(_rebased(f, a))
 
-    def Q(s: float) -> float:
-        den = s * transform(s)
-        if den == 0.0 or abs(den) < 1e-280:
-            raise GVanishesError(f"s {transform_name} vanished at s = {s!r}")
-        return Fa(s) / den
+    def Q(s: np.ndarray) -> np.ndarray:
+        # as in float arithmetic, an overflow is inf and inf * 0 is nan, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = s * transform(s)
+            fa = Fa(s)
+            vanished = s[np.abs(den) < 1e-280]
+            if vanished.size:
+                raise GVanishesError(f"s {transform_name} vanished at s = {float(vanished[0])!r}")
+            return fa / den
 
     offsets = grid - a
-    values = _invert_on_grid(Q, offsets, inversion, (transform, Fa))
+    values = _invert_on_grid(Q, offsets, inversion)
     report_grid = offsets if recovers_m else grid
 
     excluded = _flag_first_point(values)
@@ -644,7 +650,7 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
 
     kept_u = offsets[kept]
     ladder = _verification_ladder(kept_u[0])
-    ladder_v = _invert_on_grid(Q, ladder, inversion, (transform, Fa))
+    ladder_v = _invert_on_grid(Q, ladder, inversion)
     knots_u = np.concatenate(([0.0], ladder, kept_u))
     # g at u = 0 is the line through the ladder's first two samples, at
     # u_0/16 and u_0/8, clipped at 0

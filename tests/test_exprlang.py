@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from choqint.exprlang import (
     Sqrt,
     Sub,
     Var,
+    _tokenize,
     build,
 )
 
@@ -185,6 +187,35 @@ def test_parse_error_offsets_are_byte_offsets():
     with pytest.raises(ParseError) as err:
         parse("é + t")
     assert err.value.offset == 0
+
+
+def test_token_offsets_count_the_utf8_bytes_before_them():
+    # U+3000 and U+00A0 are whitespace, of three and two bytes
+    src = "2.5*t\u3000+ \u00a0sqrt(t)\t- pow(t, 1e-3)\u3000"
+    tokens = _tokenize(src)
+    assert [tok.text for tok in tokens] == [
+        "2.5", "*", "t", "+", "sqrt", "(", "t", ")", "-", "pow", "(", "t", ",", "1e-3", ")", ""]
+    i, want = 0, []
+    for tok in tokens[:-1]:
+        i = src.index(tok.text, i)
+        want.append(len(src[:i].encode("utf-8")))
+        i += len(tok.text)
+    assert [tok.offset for tok in tokens] == want + [len(src.encode("utf-8"))]
+    bad = src + "é"
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert err.value.offset == len(src.encode("utf-8"))
+
+
+def test_a_large_source_tokenizes_in_linear_time():
+    # 2^19 tokens, 512 KiB: about 1 s on a 2-vCPU x86-64 host, against 16 s
+    # when each token's offset re-encoded the source before it
+    src = "t+" * 2 ** 18 + "$"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert time.perf_counter() - start < 8.0
+    assert err.value.offset == 2 ** 19
 
 
 def test_large_exponent_literal():

@@ -101,10 +101,15 @@ class TestForwardLaplace:
         got = forward_laplace(lambda t: t ** 2, 1.5)
         assert got == pytest.approx(2.0 / 1.5 ** 3, rel=1e-11)
 
-    @pytest.mark.parametrize("s", [0.0, -1.0])
+    # NaN is refused before the truncation search, which it would climb in vain
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
     def test_nonpositive_s(self, s):
-        with pytest.raises(NonPositiveSError):
+        with pytest.raises(NonPositiveSError, match=f"got {s!r}$"):
             forward_laplace(parse("t"), s)
+        F = transform_of(parse("t"))
+        for arg in (s, [2.0, s], np.array([s, 2.0])):
+            with pytest.raises(NonPositiveSError, match=f"got {s!r}$"):
+                F(arg)
 
     def test_exponential_growth_diverges(self):
         with pytest.raises(DivergentIntegralError):
@@ -677,6 +682,86 @@ class TestOneTable:
         assert _KEPT == {render(h): table} and _KEPT[render(h)] is table
 
 
+def spied_closures(monkeypatch) -> list:
+    """For every transform closure made from now on, the arguments of its
+    calls."""
+    calls = []
+
+    def spy_of(h, _real=laplace.transform_of):
+        F, seen = _real(h), []
+        calls.append(seen)
+
+        def spy(s):
+            seen.append(s)
+            return F(s)
+
+        return spy
+
+    monkeypatch.setattr(laplace, "transform_of", spy_of)
+    return calls
+
+
+def stehfest_nodes(offsets) -> list:
+    """The Stehfest-16 nodes of every positive offset, offset by offset."""
+    return [(k + 1) * (math.log(2.0) / u) for u in offsets.tolist() if u > 0.0
+            for k in range(16)]
+
+
+class TestArrayReads:
+    """A solve stage reads each quotient as one array: it calls each
+    transform closure once, with the Stehfest nodes of every positive
+    offset of the stage."""
+
+    @pytest.mark.parametrize("problem", ["integrate", "derive", "identify"])
+    def test_each_stage_calls_each_transform_once(self, problem, monkeypatch):
+        calls = spied_closures(monkeypatch)
+        grid = np.linspace(1.2, 4.0, 8)
+        offsets = grid - 1.0
+        f, g = parse("pow(t - 1, 3.5)"), parse("sqrt(t - 1)")
+        ladder = offsets[0] * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4])
+        if problem == "integrate":
+            # the offset 0 is not inverted
+            report = solve_problem1(g, quad_distortion(), 1.0, np.concatenate(([1.0], grid)))
+            stages = [offsets]
+        elif problem == "derive":
+            report = solve_problem2(f, quad_distortion(), 1.0, grid)
+            stages = [offsets, ladder]
+        else:
+            report = solve_problem3(f, g, 1.0, grid)
+            stages = [offsets, ladder]
+        assert report.verdict is Verdict.EXISTS
+        assert len(calls) == 2
+        for seen in calls:
+            assert all(isinstance(s, np.ndarray) for s in seen)
+            assert [s.tolist() for s in seen] == [stehfest_nodes(u) for u in stages]
+
+    def test_a_vanishing_quotient_names_its_first_node(self):
+        # the first offset's third node: its first two do not vanish
+        d = Distortion.from_expression("t", upper=3.0)
+        with pytest.raises(GVanishesError,
+                           match=re.escape("s M(s) vanished at s = 2.079441541679836e+20") + "$"):
+            solve_problem2(parse("t"), d, 0.0, [1e-20, 1.0, 2.0])
+        with pytest.raises(GVanishesError,
+                           match=re.escape("s G_a(s) vanished at s = 2.3104906018664844") + "$"):
+            solve_problem3(parse(QUADRATIC), parse("0"), 0.0, np.linspace(0.3, 2.0, 5))
+
+    def test_subnormal_offsets_warn_nothing(self, recwarn):
+        # a subnormal offset's nodes are infinite: each transform is 0 there,
+        # and s times it NaN, as in float arithmetic.  In identify the
+        # verification ladder under the second offset rounds to 0
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape("inversion time must be positive, got 0.0") + "$"):
+            solve_problem3(parse("t"), parse("1"), 0.0, [5e-324, 1e-323, 1.5e-323, 1.0])
+        report = solve_problem2(parse("t"), Distortion.from_expression("t", upper=2.0), 0.0,
+                                np.linspace(5e-324, 1.0, 4))
+        assert report.first_point_excluded and math.isnan(report.values[0])
+        assert report.verdict is Verdict.EXISTS
+        report = solve_problem1(parse("t"), Distortion.from_expression("t", upper=2.0), 0.0,
+                                [0.0, 5e-324, 0.5, 1.0])
+        assert math.isnan(report.values[1]) and report.verdict is Verdict.INCONCLUSIVE
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestInvertLaplace:
     def test_inverse_of_linear(self):
         # intrinsic n=16 floor is ~4.5e-8 relative; see the notes on the
@@ -695,6 +780,15 @@ class TestInvertLaplace:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(InvalidArgumentError, match="must be positive"):
             invert_laplace(lambda s: 1.0 / s, 0.0)
+
+    @pytest.mark.parametrize("t,need", [(math.nan, "positive"), (math.inf, "finite"),
+                                        (-math.inf, "positive")])
+    def test_non_finite_time_rejected(self, t, need):
+        # at t = inf every node is 0; NaN nodes would invert to NaN
+        for F in (lambda s: 1.0 / s ** 2, transform_of(parse("t"))):
+            with pytest.raises(InvalidArgumentError,
+                               match=re.escape(f"inversion time must be {need}, got {t!r}") + "$"):
+                invert_laplace(F, t)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 0.5, 3.5])
     def test_roundtrip_through_numeric_transform(self, p):
