@@ -10,13 +10,20 @@ intervals, so nothing more is ever needed here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidDistortionError, NotInFPlusError
+from .errors import (
+    NON_FINITE_RESULT,
+    DomainError,
+    InvalidArgumentError,
+    InvalidDistortionError,
+    NotInFPlusError,
+)
 from .exprlang import Expr, differentiate, evaluate, parse, render
 
 __all__ = [
@@ -95,12 +102,27 @@ def check_f_plus(h: Expr, a: float, t_max: float) -> MonotoneCertificate:
     return certify_samples(grid, evaluate(h, grid))
 
 
+@contextmanager
+def _defined(error: type[Exception], what: str):
+    """Raise a :class:`DomainError` from the block as ``error``, its message
+    after ``what``: an input undefined on its own window is inadmissible.
+    An overflow stays a DomainError, a numerical failure."""
+    try:
+        yield
+    except DomainError as exc:
+        if exc.reason == NON_FINITE_RESULT:
+            raise
+        raise error(f"{what}: {exc}") from exc
+
+
 def require_f_plus(name: str, h: Expr, a: float, t_end: float) -> None:
     """The admissibility gate: certify ``h`` in F+ on its working window
     [a, t_end] ([a, a + 1] when t_end = a), or raise :class:`NotInFPlusError`
-    naming the function, the window and the first violated sample."""
+    naming the function, the window and the first violated sample, or the
+    first point where ``h`` is undefined."""
     t_max = t_end if t_end > a else a + 1.0
-    cert = check_f_plus(h, a, t_max)
+    with _defined(NotInFPlusError, f"{name} is not defined on [{float(a)!r}, {float(t_max)!r}]"):
+        cert = check_f_plus(h, a, t_max)
     if not cert.is_monotone:
         raise NotInFPlusError(
             f"{name} is not nonnegative and nondecreasing on "
@@ -152,13 +174,14 @@ def _validate_distortion(expr: Expr, upper: float) -> None:
         raise InvalidDistortionError(
             f"validation window [0, {upper!r}] needs a finite positive upper end"
         )
-    at_zero = evaluate(expr, 0.0)
-    if abs(at_zero) > DISTORTION_SLACK:
-        raise InvalidDistortionError(
-            f"m(0) = {at_zero!r}, expected 0 for '{render(expr)}'"
-        )
-    grid = np.linspace(0.0, upper, DISTORTION_POINTS)
-    values = evaluate(expr, grid)
+    with _defined(InvalidDistortionError, f"m is not defined on [0.0, {float(upper)!r}]"):
+        at_zero = evaluate(expr, 0.0)
+        if abs(at_zero) > DISTORTION_SLACK:
+            raise InvalidDistortionError(
+                f"m(0) = {at_zero!r}, expected 0 for '{render(expr)}'"
+            )
+        grid = np.linspace(0.0, upper, DISTORTION_POINTS)
+        values = evaluate(expr, grid)
     cert = certify_samples(grid, values, DISTORTION_SLACK)
     if not cert.is_monotone:
         t_bad = float(grid[cert.violation_index])

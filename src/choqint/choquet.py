@@ -150,7 +150,9 @@ def choquet_level_set(problem: ChoquetProblem,
     a, g, ts = problem.a, problem.g, problem.t_grid
     g_a = float(evaluate(g, a))
     g_ts = np.broadcast_to(evaluate(g, ts), ts.shape)
-    values = g_a * np.broadcast_to(problem.measure.evaluate(a, ts), ts.shape)
+    # as in float arithmetic, an overflow is inf, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = g_a * np.broadcast_to(problem.measure.evaluate(a, ts), ts.shape)
     values[ts == a] = 0.0
     open_ = (ts > a) & (g_ts > g_a)
     values[open_] += integrate_rows(

@@ -27,6 +27,11 @@ class ParseError(ChoqintError):
         super().__init__(f"expected {expected} at offset {offset}, found {found}")
 
 
+#: the reason of a DomainError whose value overflowed: a numerical failure,
+#: where every other reason means the input is undefined at the point
+NON_FINITE_RESULT = "non-finite result"
+
+
 class DomainError(ChoqintError):
     """Evaluation left the mathematical domain (sqrt of a negative, ln of a
     non-positive, zero raised to a negative power, division by zero, or an

@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, NonDifferentiableError, ParseError
+from .errors import NON_FINITE_RESULT, DomainError, NonDifferentiableError, ParseError
 
 __all__ = [
     "Expr",
@@ -478,7 +478,7 @@ def evaluate(expr: Expr, t):
         out = flat.copy()
     finite = np.isfinite(out)
     if not finite.all():
-        raise DomainError(render(expr), _first_bad(flat, ~finite), "non-finite result")
+        raise DomainError(render(expr), _first_bad(flat, ~finite), NON_FINITE_RESULT)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -33,6 +33,7 @@ from .capacity import (
     MONOTONE_SLACK,
     Distortion,
     MonotoneCertificate,
+    _defined,
     certify_samples,
     require_f_plus,
 )
@@ -44,11 +45,13 @@ from .choquet import (
     choquet_convolution,
 )
 from .errors import (
+    NON_FINITE_RESULT,
     DivergentIntegralError,
     DomainError,
     GVanishesError,
     InvalidArgumentError,
     NonPositiveSError,
+    NotInFPlusError,
     OriginNotZeroError,
 )
 from .exprlang import Expr, evaluate, render
@@ -223,7 +226,7 @@ class _SampleStore:
                 h_T = abs(float(self.fn(np.array([2.0 ** len(self.ladder)]))[0]))
                 penalty = math.log1p(h_T) if math.isfinite(h_T) else math.inf
             except DomainError as exc:
-                if exc.reason != "non-finite result":
+                if exc.reason != NON_FINITE_RESULT:
                     raise
                 penalty = math.inf  # overflowed: the bound certainly fails here
             self.ladder.append(penalty)
@@ -449,14 +452,20 @@ def _stehfest_nodes(t: float, terms: int) -> list[float]:
 
 def invert_laplace(F: Callable[[float], float], t: float,
                    cfg: InversionConfig = DEFAULT_INVERSION) -> float:
-    """Gaver-Stehfest inversion (ln 2 / t) sum_k V_k F(k ln 2 / t)."""
+    """Gaver-Stehfest inversion (ln 2 / t) sum_k V_k F(k ln 2 / t); a sum
+    that overflows raises :class:`DivergentIntegralError`."""
     t = float(t)
     if not 0.0 < t < math.inf:
         need = "finite" if t > 0.0 else "positive"
         raise InvalidArgumentError(f"inversion time must be {need}, got {t!r}")
     weights = stehfest_weights(cfg.stehfest_terms)
-    nodes = _stehfest_nodes(t, cfg.stehfest_terms)
-    return LN2 / t * math.fsum(w * F(s) for w, s in zip(weights, nodes))
+    terms = [w * F(s) for w, s in zip(weights, _stehfest_nodes(t, cfg.stehfest_terms))]
+    try:
+        return LN2 / t * math.fsum(terms)
+    except (ValueError, OverflowError):
+        # a weight pushed a term past the largest double: inf - inf, or a
+        # partial sum that overflows (a NaN term alone sums to NaN)
+        raise DivergentIntegralError(f"the Stehfest sum overflows at t = {t!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +528,10 @@ def _flag_first_point(values: np.ndarray) -> bool:
     excluded from the certificate (only the first may be excluded)."""
     if values.size < 3:
         return False
-    v0 = values[0]
-    rest = np.abs(values[1:])
-    return bool(not math.isfinite(v0) or abs(v0) > 100.0 * (rest.max() + 1.0))
+    v0 = float(values[0])
+    # in float arithmetic: the bound may overflow to inf, unwarned
+    bound = 100.0 * (float(np.abs(values[1:]).max()) + 1.0)
+    return not math.isfinite(v0) or abs(v0) > bound
 
 
 def _noise_slack(values: np.ndarray, floor: float = MONOTONE_SLACK) -> float:
@@ -620,7 +630,8 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     _require_tolerances(residual_threshold=residual_threshold,
                         decisive_ratio=decisive_ratio, monotone_slack=monotone_slack)
     grid = _inversion_grid(a, t_grid)
-    f_at_a = evaluate(f, a)
+    with _defined(NotInFPlusError, f"f is not defined at a = {float(a)!r}"):
+        f_at_a = evaluate(f, a)
     if abs(f_at_a) > 1e-9:
         raise OriginNotZeroError(f"f(a) = {f_at_a!r}, the equation requires f(a) = 0")
     for name, h in (("f", f), *admissible):
@@ -652,10 +663,12 @@ def _solve_inverse(f: Expr, a: float, t_grid, quadrature: QuadratureConfig,
     ladder = _verification_ladder(kept_u[0])
     ladder_v = _invert_on_grid(Q, ladder, inversion)
     knots_u = np.concatenate(([0.0], ladder, kept_u))
-    # g at u = 0 is the line through the ladder's first two samples, at
-    # u_0/16 and u_0/8, clipped at 0
-    at_zero = 0.0 if recovers_m else max(0.0, 2.0 * ladder_v[0] - ladder_v[1])
-    spline = _CubicSpline(knots_u, np.concatenate(([at_zero], ladder_v, kept_values)))
+    # as in float arithmetic, an overflow is inf and inf - inf is nan, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        # g at u = 0 is the line through the ladder's first two samples, at
+        # u_0/16 and u_0/8, clipped at 0
+        at_zero = 0.0 if recovers_m else max(0.0, 2.0 * ladder_v[0] - ladder_v[1])
+        spline = _CubicSpline(knots_u, np.concatenate(([at_zero], ladder_v, kept_values)))
     # identify convolves the step density of m against g, derive g against m'
     recovered = spline.derivative if recovers_m else spline
     reproduced = convolve(kernel, recovered, kept_u, knots_u, quadrature.nodes_per_subinterval)

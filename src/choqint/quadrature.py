@@ -74,7 +74,8 @@ def graded_mesh(a, b, n: int, grading: float) -> np.ndarray:
     a, b = (np.asarray(end, dtype=float)[..., None] for end in np.broadcast_arrays(a, b))
     n_left = n // 2
     n_right = n - n_left
-    mid = 0.5 * (a + b)
+    # halves first: a + b overflows near the top of the double range
+    mid = 0.5 * a + 0.5 * b
     parts = [a]
     if n_left:
         sizes = grading ** np.arange(n_left - 1, -1, -1, dtype=float)
@@ -120,7 +121,8 @@ def _cell_nodes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[np.ndarray,
     their folded weights (cell half-width times Gauss weight)."""
     x, w = _gauss_nodes(nodes)
     halves = 0.5 * (hi - lo)
-    return 0.5 * (hi + lo)[..., None] + halves[..., None] * x, halves[..., None] * w
+    # the midpoint as in graded_mesh, so that hi + lo cannot overflow
+    return (0.5 * hi + 0.5 * lo)[..., None] + halves[..., None] * x, halves[..., None] * w
 
 
 def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
@@ -138,8 +140,9 @@ def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
     return points, weights.reshape(points.shape)
 
 
-# a transform revisits the passes over [0, T] of its few windows T for
-# every s it serves, so their nodes are kept
+# every transform integrates over windows [0, 2^k] on the same meshes, so
+# the passes repeat across functions, sweeps and runs in one process, and
+# their nodes are kept
 @lru_cache(maxsize=64)
 def _pass_nodes(a: float, b: float, cells: int, grading: float,
                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +264,10 @@ def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: n
             ids = pending[part]
             nodes, weights = _pass_rows(lo[ids], hi[ids], cells, cfg.endpoint_grading, per_cell)
             owners, flat = np.repeat(ids, per_row), nodes.reshape(-1)
-            # each slice's values overwrite the nodes they came from
-            _batched(lambda s: fn(owners[s], flat[s]), flat)
+            # each slice's values overwrite the nodes they came from; an
+            # integrand that overflows is left to the finite check
+            with np.errstate(over="ignore", invalid="ignore"):
+                _batched(lambda s: fn(owners[s], flat[s]), flat)
             return _dots(nodes, weights)
 
         return _batched(rows, np.empty(pending.size), cost=per_row)
@@ -297,8 +302,9 @@ def convolve(kernel, factor, spans: np.ndarray, knots: np.ndarray, nodes: int) -
         ws, weights = _cell_nodes(lo[cells], hi[cells], nodes)
         owners = np.repeat(np.nonzero(cells)[0], nodes)
         ws = ws.ravel()
-        terms = (np.asarray(kernel(ws), dtype=float)
-                 * np.asarray(factor(us[owners, 0] - ws), dtype=float) * weights.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (np.asarray(kernel(ws), dtype=float)
+                     * np.asarray(factor(us[owners, 0] - ws), dtype=float) * weights.ravel())
         return np.bincount(owners, weights=terms, minlength=us.shape[0])
 
     return _batched(spans_pass, np.empty(spans.size), cost=cost)

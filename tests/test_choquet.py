@@ -99,6 +99,15 @@ class TestLevelSetRoute:
         p = sqrt_problem(0.0, [0.0, 1.0])
         assert choquet_level_set(p)[0] == 0.0
 
+    @pytest.mark.parametrize("a,start", [(0.0, 0.1), (0.9, 0.9)])
+    def test_levels_near_the_top_of_the_double_range(self, a, start):
+        # alpha runs up to 1e308, where a cell's hi + lo overflows, and from
+        # a = 0.9 on so does the sum of a mesh's ends: neither may cost the
+        # integral its nodes
+        d = Distortion.from_expression("ln(1+t)", upper=1.0)
+        p = ChoquetProblem(a, parse("1e308*t"), d, np.linspace(start, 1.0, 4))
+        assert choquet_level_set(p) == pytest.approx(choquet_convolution(p), rel=1e-10)
+
 
 def spy_sizes(monkeypatch) -> tuple[list, list]:
     """The sizes of every evaluate call the routes make, and the rows and

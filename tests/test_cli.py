@@ -10,8 +10,19 @@ from golden_manifest import GOLDEN, GOLDEN_RUNS
 
 
 def run_cli(*argv, **kwargs):
-    return subprocess.run([sys.executable, "-m", "choqint", *argv],
+    """``python -m choqint *argv`` in a fresh process, held to the CLI's
+    failure contract whatever its exit code: no traceback, no Python
+    warning, and at most 2048 bytes of stderr."""
+    proc = subprocess.run([sys.executable, "-m", "choqint", *argv],
                           capture_output=True, text=True, **kwargs)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr[:4096]
+    assert len(proc.stderr.encode()) <= 2048, proc.stderr[:4096]
+    return proc
+
+
+def balanced(n: int) -> str:
+    """A balanced sum of n leaves t: 24.6 KB of source for n = 4096."""
+    return "t" if n == 1 else f"({balanced(n // 2)} + {balanced(n - n // 2)})"
 
 
 @pytest.mark.parametrize("name,argv,expected_exit", GOLDEN_RUNS,
@@ -317,9 +328,6 @@ class TestExitCodes:
 
     def test_domain_error_of_a_long_input_is_one_short_line(self, capsys):
         # a balanced sum of 4096 t, 24.6 KB of argv: exp overflows at t = 1
-        def balanced(n):
-            return "t" if n == 1 else f"({balanced(n // 2)} + {balanced(n - n // 2)})"
-
         argv = ["integrate", "--g", f"exp(800*{balanced(4096)})", "--m", "t", "--t", "0:1:3"]
         assert main_exit_code(argv) == 4
         err = capsys.readouterr().err
@@ -331,6 +339,72 @@ class TestExitCodes:
                        "--t", "0:2:4")
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
+
+    NEAR_1E15 = "1000000000000000:1000000000000001"
+
+    # (expected exit, argv) of hostile inputs through the real entry point,
+    # where run_cli holds each to the failure contract
+    @pytest.mark.parametrize("code,argv", [
+        pytest.param(2, ["integrate", "--g", "(" * 250 + "t" + ")" * 250, "--m", "t",
+                         "--a", "0", "--t", "0:1:3"], id="250-deep"),
+        pytest.param(3, ["integrate", "--g", "1 - t", "--m", "t", "--a", "0", "--t", "0:2:5"],
+                     id="g-outside-F+"),
+        pytest.param(2, ["integrate", "--g", CHAIN, "--m", "t", "--a", "0", "--t", "0:1:3"],
+                     id="3000-term-sum"),
+        pytest.param(2, [*SIZES, "--t", "0:1:10000000000000"], id="1e13-points"),
+        pytest.param(2, [*ARGV["integrate"], "--nodes", "100000000"], id="1e8-nodes"),
+        pytest.param(2, [*ARGV["integrate"], "--subintervals", "1000000000"], id="1e9-cells"),
+        pytest.param(4, ["integrate", "--g", "t + abs(t - 0.3)", "--m", "t^1.5", "--a", "0",
+                         "--t", "0:1:3", "--grading", "1", "--refinement-tol", "1e-300",
+                         "--max-refinements", "30"], id="never-converges"),
+        pytest.param(4, ["integrate", "--g", f"exp(800*{balanced(4096)})", "--m", "t",
+                         "--t", "0:1:3"], id="4096-leaf-overflow"),
+        pytest.param(2, ["integrate", "--g", "t-1000000000000000", "--m", "t", "--a", "1e15",
+                         "--t", f"{NEAR_1E15}:17"], id="17-points-near-1e15"),
+        pytest.param(2, ["derive", "--f", "t-1000000000000000", "--m", "t", "--a", "1e15",
+                         "--t", f"{NEAR_1E15}:9"], id="9-points-near-1e15"),
+        pytest.param(2, [*ARGV["integrate"], "--output", "/nonexistent/dir/out.csv"],
+                     id="unwritable-output"),
+        pytest.param(0, ["integrate", "--g", "t + 1000", "--m", "t", "--a", "-1e3",
+                         "--t", "-1000:-999:3"], id="leading-minus-origin"),
+        pytest.param(0, ["derive", "--f", "t", "--m", "t", "--a", "0", "--t", "5e-324:1:4"],
+                     id="subnormal-first-offset"),
+        # weighted Stehfest terms pass the largest double
+        pytest.param(4, ["derive", "--f", "1e300*t^2", "--m", "t^2/2", "--a", "0",
+                         "--t", "0.5:2:5"], id="derive-stehfest-overflow"),
+        pytest.param(4, ["identify", "--f", "1e300*t^2", "--g", "t^2/2", "--a", "0",
+                         "--t", "0:1:3"], id="identify-stehfest-overflow"),
+        # levels up to 1e308, where a cell's hi + lo overflows
+        pytest.param(0, ["integrate", "--g", "1e308*t", "--m", "ln(1+t)", "--a", "0",
+                         "--t", "0.1:1:4", "--verify"], id="levels-near-1e308"),
+        # numpy overflows in the routes, the difference quotient, the spline,
+        # its value at u = 0 and the first-point bound
+        pytest.param(4, ["verify", "--g", "t+1e300", "--m", "t", "--a", "0",
+                         "--t", "1e10:1e11:3"], id="verify-base-term-overflow"),
+        pytest.param(4, ["integrate", "--g", "t+1e300", "--m", "pow(t,0.3)", "--a", "0",
+                         "--t", "0.5:2:5"], id="integrand-overflow"),
+        pytest.param(4, ["verify", "--g", "(t+abs(t))/2", "--m", "1e308*t", "--a", "0",
+                         "--t", "0:1:2"], id="difference-quotient-overflow"),
+        pytest.param(0, ["derive", "--f", "1e300*t^2", "--m", "t^2/2", "--a", "0",
+                         "--t", "1e-10:1e-9:3"], id="spline-overflow"),
+        pytest.param(0, ["derive", "--f", "1e308*t", "--m", "t", "--a", "0",
+                         "--t", "1e-11:1e-10:3"], id="extrapolation-to-0-overflow"),
+        pytest.param(0, ["identify", "--f", "1e308*t", "--g", "t", "--a", "0",
+                         "--t", "1e-10:1e-9:3"], id="first-point-bound-overflow"),
+        # an input undefined on its own window is inadmissible
+        pytest.param(3, ["integrate", "--g", "sqrt(t-2)", "--m", "t", "--a", "0",
+                         "--t", "0:1:3"], id="g-undefined"),
+        pytest.param(3, ["integrate", "--g", "t", "--m", "sqrt(t-1)", "--a", "0",
+                         "--t", "0:1:3"], id="m-undefined"),
+        pytest.param(3, ["integrate", "--g", "1/t", "--m", "t", "--a", "0", "--t", "0:1:3"],
+                     id="g-divides-by-zero"),
+        pytest.param(3, ["derive", "--f", "sqrt(t-2)", "--m", "t", "--a", "0",
+                         "--t", "0.5:1:3"], id="f-undefined-at-a"),
+        pytest.param(3, ["identify", "--f", "t", "--g", "ln(t)", "--a", "0", "--t", "0.5:1:3"],
+                     id="identify-g-undefined"),
+    ])
+    def test_hostile_input_ends_with_its_exit_code(self, code, argv):
+        assert run_cli(*argv).returncode == code
 
 
 #: (flag, a value with a leading minus, the rest of an admissible argv)

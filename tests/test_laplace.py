@@ -790,6 +790,19 @@ class TestInvertLaplace:
                                match=re.escape(f"inversion time must be {need}, got {t!r}") + "$"):
                 invert_laplace(F, t)
 
+    def test_a_sum_that_overflows_is_a_numerical_failure(self):
+        # the answer, 2e300, is a double, but weighted terms pass the
+        # largest one: inf - inf, or a partial sum of finite terms that
+        # overflows (each term here 1e308), raises within math.fsum
+        nodes = [k * math.log(2.0) / 0.5 for k in range(1, 17)]
+        huge = dict(zip(nodes, [1e308 / w for w in stehfest_weights(16)]))
+        for F in (lambda s: 2e300 / s, huge.__getitem__):
+            with pytest.raises(DivergentIntegralError,
+                               match=re.escape("the Stehfest sum overflows at t = 0.5") + "$"):
+                invert_laplace(F, 0.5)
+        # a NaN term alone sums to NaN
+        assert math.isnan(invert_laplace(lambda s: math.nan, 0.5))
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 0.5, 3.5])
     def test_roundtrip_through_numeric_transform(self, p):
         h = parse(f"pow(t, {p})")
