@@ -29,7 +29,12 @@ from .capacity import (
     _tau_derivative_grid,
     require_f_plus,
 )
-from .errors import InvalidArgumentError, InvalidDistortionError, InvalidIntervalError
+from .errors import (
+    DivergentIntegralError,
+    InvalidArgumentError,
+    InvalidDistortionError,
+    InvalidIntervalError,
+)
 from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_rows
 
@@ -98,6 +103,28 @@ def _require_window(d: Distortion, span: float) -> None:
         )
 
 
+def _midpoint(magnitude: float):
+    """The bisection's midpoint of [lo, hi]: 0.5 (lo + hi), or, where the ends
+    reach ``magnitude`` >= 2^1022 and lo + hi can overflow, 0.5 lo + 0.5 hi
+    (the same bits for normal doubles, at a few percent more time)."""
+    if magnitude < 2.0 ** 1022:
+        return lambda lo, hi: 0.5 * (lo + hi)
+    return lambda lo, hi: 0.5 * lo + 0.5 * hi
+
+
+def _tree_points(a: float, ts: np.ndarray, depth: int, half) -> np.ndarray:
+    """Row i: a, the midpoints of the first ``depth`` halvings of [a, ts_i]
+    in increasing order, and ts_i (2^depth + 1 points), each midpoint the
+    float the bisection computes from its bracket."""
+    points = np.stack([np.full_like(ts, a), ts], axis=1)
+    for _ in range(depth):
+        finer = np.empty((ts.size, 2 * points.shape[1] - 1))
+        finer[:, ::2] = points
+        finer[:, 1::2] = half(points[:, :-1], points[:, 1:])
+        points = finer
+    return points
+
+
 def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """s_alpha, the leftmost tau in [a, t] with g(tau) >= alpha, for every
     (alpha, t) pair, by bisection on that predicate, which needs only
@@ -107,23 +134,50 @@ def _level_points(g: Expr, a: float, alphas: np.ndarray, ts: np.ndarray) -> np.n
     adjacent floats that halving no longer moves: the midpoint is ``hi``, or
     it is ``lo`` where g(lo) < alpha is known.  Beyond |a| of about 1e4 no
     bracket can reach the tolerance, so that second rule ends the loop.  Each
-    bracket stops at its own first final halving, whatever the other pairs."""
+    bracket stops at its own first final halving, whatever the other pairs.
+
+    The first ``depth`` halvings are read off one table: g at the 2^depth - 1
+    midpoints they can visit in each run of pairs that share one t, no more
+    points than the run has pairs.  Each pair walks the table with the
+    halvings' own test, g(mid) >= alpha, so it reaches their bracket, bit
+    for bit, monotone g or not; the loop goes on from there."""
     lo = np.full_like(alphas, a)
     hi = np.broadcast_to(ts, alphas.shape)
-    lo_below = np.zeros(alphas.shape, dtype=bool)
-    mid = 0.5 * (lo + hi)
+    magnitude = max(abs(a), float(np.max(np.abs(hi))))
+    half = _midpoint(magnitude)
     # a final bracket is at most `closed` wide, and a halving keeps over half a bracket
     # less half an ulp: none is final before log2(narrowest/closed) - 1 halvings; test sooner
     narrowest = float(np.min(hi)) - a
-    closed = max(BISECTION_TOL, float(np.spacing(max(abs(a), float(np.max(np.abs(hi)))))))
-    first_test = int(min(np.log2(narrowest / closed), 100.0)) - 3 if narrowest > closed else 0
-    for step in range(100):
+    closed = max(BISECTION_TOL, float(np.spacing(magnitude)))
+    first_test = (max(int(min(np.log2(narrowest / closed), 100.0)) - 3, 0)
+                  if narrowest > closed else 0)
+    starts = np.flatnonzero(np.concatenate(([True], hi[1:] != hi[:-1])))
+    lengths = np.diff(np.append(starts, alphas.size))
+    # no halving the table replaces may skip a stop test
+    depth = min(int(lengths.min() + 1).bit_length() - 1, first_test)
+    if depth:
+        points = _tree_points(a, hi[starts], depth, half)
+        table = np.empty_like(points)
+        table[:, 1:-1] = evaluate(g, points[:, 1:-1])
+        points, table = points.ravel(), table.ravel()
+        # each pair's bracket [points[at], points[at + 1]] as the halvings narrow it:
+        # the halving of level k probes the midpoint 2^k points to the right of lo
+        at = np.repeat(np.arange(0, points.size, 2 ** depth + 1), lengths)
+        for level in range(depth - 1, -1, -1):
+            at += (table[2 ** level:].take(at) < alphas) << level
+        lo, hi = points.take(at), points[1:].take(at)
+    mid = half(lo, hi)
+    for step in range(depth, 100):
+        if step == first_test:
+            # every halving so far split a bracket over 8 closed widths wide, so lo
+            # moved whenever g(mid) < alpha: lo > a says whether it ever was
+            lo_below = lo > a
         reached = evaluate(g, mid) >= alphas
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, mid)
-        lo_below |= ~reached
-        mid = 0.5 * (lo + hi)
+        mid = half(lo, hi)
         if step >= first_test:
+            lo_below |= ~reached
             final = (hi - lo <= BISECTION_TOL) | (mid == hi) | ((mid == lo) & lo_below)
             if final.all():
                 break
@@ -150,14 +204,20 @@ def choquet_level_set(problem: ChoquetProblem,
     a, g, ts = problem.a, problem.g, problem.t_grid
     g_a = float(evaluate(g, a))
     g_ts = np.broadcast_to(evaluate(g, ts), ts.shape)
-    # as in float arithmetic, an overflow is inf, unwarned
+    # as in float arithmetic, an overflow is inf, unwarned, until the check below
     with np.errstate(over="ignore", invalid="ignore"):
         values = g_a * np.broadcast_to(problem.measure.evaluate(a, ts), ts.shape)
     values[ts == a] = 0.0
     open_ = (ts > a) & (g_ts > g_a)
-    values[open_] += integrate_rows(
+    integrals = integrate_rows(
         lambda rows, alphas: _level_integrand(problem, a, ts[rows])(alphas), g_a,
-        np.where(open_, g_ts, g_a), cfg, at=ts)[open_]
+        np.where(open_, g_ts, g_a), cfg, at=ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[open_] += integrals[open_]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DivergentIntegralError(
+            f"the level-set integral is not finite at t = {float(ts[bad[0]])!r}")
     return values
 
 

@@ -219,7 +219,8 @@ class Pow(_Infix):
         bad = b < 0.0
         if bad.any():
             raise DomainError(render(self), _first_bad(t, bad), "negative base of a power")
-        if np.any(e < 0.0) and np.any(bad := (b == 0.0) & (e < 0.0)):
+        # .any(), not np.any, whose wrapper costs microseconds on a constant's scalar
+        if (e < 0.0).any() and (bad := (b == 0.0) & (e < 0.0)).any():
             raise DomainError(render(self), _first_bad(t, bad), "zero raised to a negative power")
         return _full(t, b) ** _full(t, e)
 

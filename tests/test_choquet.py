@@ -108,6 +108,23 @@ class TestLevelSetRoute:
         p = ChoquetProblem(a, parse("1e308*t"), d, np.linspace(start, 1.0, 4))
         assert choquet_level_set(p) == pytest.approx(choquet_convolution(p), rel=1e-10)
 
+    @pytest.mark.parametrize("g,m,grid,where", [
+        # the base term g(a) mu([a, t]) overflows at every t
+        ("t + 1e300", "t", [1e10, 5.5e10, 1e11], 1e10),
+        # at t = 1 the base term, 1.4e308, and the alpha integral, 4.9e307, are
+        # finite, and their sum is not
+        ("1e308 + 7e307*t", "1.4*t", [0.5, 1.0], 1.0),
+    ])
+    def test_a_value_that_is_not_finite_raises(self, g, m, grid, where):
+        d = Distortion.from_expression(m, upper=grid[-1])
+        p = ChoquetProblem(0.0, parse(g), d, np.array(grid))
+        with pytest.raises(DivergentIntegralError,
+                           match=re.escape(f"level-set integral is not finite at t = {where!r}")):
+            choquet_level_set(p)
+        # as the convolution route does on the same problem
+        with pytest.raises(DivergentIntegralError):
+            choquet_convolution(p)
+
 
 def spy_sizes(monkeypatch) -> tuple[list, list]:
     """The sizes of every evaluate call the routes make, and the rows and
@@ -155,6 +172,32 @@ def full_bisection(g, a, alphas, ts):
         reached = evaluate(g, mid) >= alphas
         hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
     return hi
+
+
+def seeded_depth(a: float, ts: np.ndarray) -> int:
+    """The halvings a call of _level_points reads off its table, given each
+    alpha's t: log2(run + 1) rounded down for the shortest run of alphas that
+    share one t, and none past the first halving that tests for final
+    brackets."""
+    run = np.diff(np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1], [True])))).min()
+    narrowest = float(np.min(ts)) - a
+    closed = max(BISECTION_TOL, float(np.spacing(max(abs(a), float(np.max(np.abs(ts)))))))
+    first_test = max(int(np.log2(narrowest / closed)) - 3, 0) if narrowest > closed else 0
+    return min(int(np.log2(run + 1)), first_test)
+
+
+def counted_level_points(g, a, alphas, ts) -> tuple[np.ndarray, int]:
+    """_level_points and the number of evaluate calls it made."""
+    calls = []
+
+    def spy(expr, t, _fn=choquet.evaluate):
+        calls.append(1)
+        return _fn(expr, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(choquet, "evaluate", spy)
+        got = choquet._level_points(g, a, alphas, ts)
+    return got, len(calls)
 
 
 def flat_start_problem(general: bool, grid) -> ChoquetProblem:
@@ -247,6 +290,27 @@ class TestLevelSetGrid:
         got = choquet._level_points(g, a, alphas, ts)
         assert np.array_equal(got, full_bisection(g, a, alphas, ts))
         assert got[0] == a
+
+    @pytest.mark.parametrize("a,ts", [
+        (-1e3, -1e3 + np.array([0.3, 1.1, 2.7])),
+        (0.1, np.array([0.7, 1.3])),
+        (1e308, np.array([1.25e308, 1.5e308])),
+    ])
+    def test_table_points_are_the_floats_the_halvings_compute(self, a, ts):
+        def midpoints(lo, hi, depth, half):
+            if not depth:
+                return []
+            mid = half(lo, hi)
+            return (midpoints(lo, mid, depth - 1, half) + [mid]
+                    + midpoints(mid, hi, depth - 1, half))
+
+        half = choquet._midpoint(max(abs(a), float(np.max(np.abs(ts)))))
+        points = choquet._tree_points(a, ts, 9, half)
+        for t, row in zip(ts.tolist(), points.tolist()):
+            assert row == [a, *midpoints(a, t, 9, half), t]
+
+        # near the top of the double range lo + hi overflows: halves first
+        assert choquet._midpoint(1.5e308)(1e308, 1.5e308) == 1.25e308
 
 
 GRID_ROUTES = {
@@ -348,26 +412,41 @@ class TestGridIntegrator:
     @settings(max_examples=60, deadline=None)
     @given(a=st.sampled_from([0.0, 1.0, -1e3, 1e5, 1e12]),
            spans=st.lists(st.floats(1e-14, 1e4), min_size=1, max_size=6),
-           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           run=st.sampled_from([1, 3, 640]))
     def test_bisection_stops_at_the_halving_that_tests_every_step_stops_at(
-            self, a, spans, fractions):
-        # the stop test is skipped on halvings where no bracket can be final
+            self, a, spans, fractions, run):
+        # the stop test is skipped on halvings where no bracket can be final,
+        # and the first halvings are read off a table of g
         g = parse(f"pow(t - {a!r}, 1.5)")
         n = min(len(spans), len(fractions))
-        ts = a + np.array(spans[:n])
-        alphas = np.array(fractions[:n]) * evaluate(g, ts)
+        ts = np.repeat(a + np.array(spans[:n]), run)
+        spread = (np.repeat(fractions[:n], run) + np.tile(np.arange(run) / run, n)) % 1.0
+        alphas = spread * evaluate(g, ts)
         want, halvings = every_halving_bisection(g, a, alphas, ts)
-        calls = []
-
-        def spy(expr, t, _fn=choquet.evaluate):
-            calls.append(1)
-            return _fn(expr, t)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(choquet, "evaluate", spy)
-            got = choquet._level_points(g, a, alphas, ts)
+        got, calls = counted_level_points(g, a, alphas, ts)
         assert np.array_equal(got, want)
-        assert len(calls) == halvings
+        # one call for the table, then one per halving it does not replace
+        depth = seeded_depth(a, ts)
+        assert calls == (halvings - depth + 1 if depth else halvings)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1e3, 1e5, 1e12])
+    @pytest.mark.parametrize("run", [1, 3, 640, 1280])
+    @pytest.mark.parametrize("g", ["pow(t - A, 1.5)", "2 - t"], ids=["increasing", "decreasing"])
+    def test_seeded_bisection_equals_every_halving_bisection(self, g, run, a):
+        # a decreasing g is no integrand of the route, and its table decreases:
+        # the walk down the table still takes the halvings' own decisions
+        g = parse(g.replace("A", repr(a)))
+        ts = np.repeat(a + np.array([0.3, 1.1, 2.5]), run)
+        g_a, g_t = evaluate(g, np.full_like(ts, a)), evaluate(g, ts)
+        alphas = g_a + (np.tile(np.arange(run), 3) + 0.5) / run * (g_t - g_a)
+        want, halvings = every_halving_bisection(g, a, alphas, ts)
+        got, calls = counted_level_points(g, a, alphas, ts)
+        assert np.array_equal(got, want)
+        # ulp(1e12) = 1.2e-4: the first stop test, after 8 halvings, caps the table
+        depth = seeded_depth(a, ts)
+        assert depth == min(int(np.log2(run + 1)), 8 if a == 1e12 else 10)
+        assert calls == halvings - depth + 1
 
 
 class TestConvolutionRoute:

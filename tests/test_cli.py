@@ -342,6 +342,12 @@ class TestExitCodes:
 
     NEAR_1E15 = "1000000000000000:1000000000000001"
 
+    #: a problem on [1e308, 1.5e308], where lo + hi of a bisection bracket overflows
+    TOP_OF_THE_RANGE = [
+        [command, "--g", "t*1e-308", "--m", "t*1e-308", "--a", "1e308",
+         "--t", "1e308:1.5e308:3", *extra]
+        for command, extra in (("verify", []), ("integrate", ["--verify"]))]
+
     # (expected exit, argv) of hostile inputs through the real entry point,
     # where run_cli holds each to the failure contract
     @pytest.mark.parametrize("code,argv", [
@@ -377,6 +383,9 @@ class TestExitCodes:
         # levels up to 1e308, where a cell's hi + lo overflows
         pytest.param(0, ["integrate", "--g", "1e308*t", "--m", "ln(1+t)", "--a", "0",
                          "--t", "0.1:1:4", "--verify"], id="levels-near-1e308"),
+        # bisection midpoints where lo + hi overflows
+        *(pytest.param(0, argv, id=f"{argv[0]}-midpoints-near-1e308")
+          for argv in TOP_OF_THE_RANGE),
         # numpy overflows in the routes, the difference quotient, the spline,
         # its value at u = 0 and the first-point bound
         pytest.param(4, ["verify", "--g", "t+1e300", "--m", "t", "--a", "0",
@@ -405,6 +414,12 @@ class TestExitCodes:
     ])
     def test_hostile_input_ends_with_its_exit_code(self, code, argv):
         assert run_cli(*argv).returncode == code
+
+    @pytest.mark.parametrize("argv", TOP_OF_THE_RANGE, ids=lambda argv: argv[0])
+    def test_the_oracle_near_the_top_of_the_double_range_prints_the_value(self, argv):
+        rows = [line.split(",") for line in run_cli(*argv).stdout.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0", "0.28125", "0.625"]
+        assert [row[2] for row in rows] == [row[1] for row in rows]
 
 
 #: (flag, a value with a leading minus, the rest of an admissible argv)
