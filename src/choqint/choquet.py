@@ -18,7 +18,7 @@ and, for a distorted Lebesgue measure mu([u, v]) = m(v - u),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     InvalidDistortionError,
     InvalidIntervalError,
 )
-from .exprlang import Add, Expr, Num, Var, build, evaluate, substitute
+from .exprlang import Add, Expr, Num, Sub, Var, build, evaluate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_rows
 
 __all__ = [
@@ -306,8 +306,23 @@ def check_hereditary(problem: ChoquetProblem, a_split: float,
 
 
 def _rebased(h: Expr, a: float) -> Expr:
-    """h(r + a) as an expression in r: [a, t] carried to [0, t - a]."""
-    return substitute(h, build(Add, Var(), Num(a)))
+    """h(r + a) as an expression in r: [a, t] carried to [0, t - a].  A
+    constant added to ``x + c`` or ``x - c`` joins ``c`` where they add
+    exactly, so a rebased ``t - a`` is ``r``, not ``r`` rounded at ``|a|``;
+    only added constants move, which have no domain of their own.  (Not in
+    ``build``: ``render`` must give back the tree it parsed.)"""
+    if isinstance(h, (Var, Num)):
+        return build(Add, Var(), Num(a)) if isinstance(h, Var) else h
+    args = [_rebased(getattr(h, f.name), a) for f in fields(h)]
+    lhs = args[0]
+    if (type(h) in (Add, Sub) and type(lhs) in (Add, Sub)
+            and isinstance(args[1], Num) and isinstance(lhs.rhs, Num)):
+        inner = lhs.rhs.value if type(lhs) is Add else -lhs.rhs.value
+        outer = args[1].value if type(h) is Add else -args[1].value
+        total = inner + outer
+        if inner - (total - (total - inner)) + (outer - (total - inner)) == 0.0:  # exact (TwoSum)
+            return build(Add, lhs.lhs, Num(total))
+    return build(type(h), *args)
 
 
 def shift_to_origin(problem: ChoquetProblem) -> ChoquetProblem:

@@ -507,3 +507,37 @@ def substitute(expr: Expr, replacement: Expr) -> Expr:
         return expr
     return build(type(expr), *(substitute(getattr(expr, f.name), replacement)
                                for f in fields(expr)))
+
+
+def _affine(expr: Expr) -> tuple[float, float] | None:
+    """(slope, intercept) of an expression affine in t, or None."""
+    if isinstance(expr, (Var, Num)):
+        return (1.0, 0.0) if isinstance(expr, Var) else (0.0, expr.value)
+    parts = ([_affine(getattr(expr, f.name)) for f in fields(expr)]
+             if isinstance(expr, (Neg, Add, Sub, Mul, Div)) else [None])
+    if None in parts:
+        return None
+    if isinstance(expr, Neg):
+        return -parts[0][0], -parts[0][1]
+    (p, q), (r, u) = parts
+    if isinstance(expr, (Add, Sub)):
+        sign = 1.0 if isinstance(expr, Add) else -1.0
+        return p + sign * r, q + sign * u
+    if isinstance(expr, Div):
+        return (p / u, q / u) if r == 0.0 != u else None
+    return (p * u, q * u) if r == 0.0 else (r * q, u * q) if p == 0.0 else None
+
+
+def breakpoints(expr: Expr, lo: float, hi: float) -> tuple[float, ...]:
+    """The sorted points in (lo, hi) where ``expr`` has a kink it names: the
+    zeros of the affine arguments of ``abs``.  A zero is computed from the
+    argument's slope and intercept, so it is exact for ``t - c`` and within
+    rounding otherwise; an argument that is not affine in t names none."""
+    found, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Abs) and (line := _affine(node.arg)) and line[0] != 0.0:
+            found.add(-line[1] / line[0])
+        stack.extend(child for f in fields(node)
+                     if isinstance(child := getattr(node, f.name), Expr))
+    return tuple(sorted(b for b in found if lo < b < hi))

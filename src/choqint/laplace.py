@@ -54,19 +54,12 @@ from .errors import (
     NotInFPlusError,
     OriginNotZeroError,
 )
-from .exprlang import Expr, evaluate, render
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    composite_gauss_legendre,
-    convolve,
-    integrate,
-)
+from .exprlang import Expr, breakpoints, evaluate, render
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _batched, convolve
 
 __all__ = [
     "InversionConfig",
     "DEFAULT_INVERSION",
-    "TRANSFORM_QUADRATURE",
     "forward_laplace",
     "transform_of",
     "invert_laplace",
@@ -83,16 +76,9 @@ LN2 = math.log(2.0)
 #: truncation target of the tail bound exp(-sT) (1 + h(T)) (1 + 1/s)
 TAIL_BOUND = 1e-12
 
-#: transforms are refined to the rounding floor: Stehfest weights amplify
-#: uncorrelated per-node errors by ~1e7, so anything looser leaks into the
-#: inverted values; a transform that misses it raises DivergentIntegralError
-TRANSFORM_QUADRATURE = QuadratureConfig(
-    subintervals=48,
-    nodes_per_subinterval=24,
-    refinement_tolerance=1e-14,
-    max_refinements=7,
-    endpoint_grading=0.5,
-)
+#: a transform stops where two levels of its rule agree to this, relative: the
+#: rounding floor, since Stehfest weights amplify per-node errors by ~1e7
+TRANSFORM_TOL = 1e-14
 
 #: transform values kept between solves, over every kept expression
 KEPT_TRANSFORM_VALUES = 8192
@@ -199,24 +185,46 @@ class _CubicSpline:
         return self.k[i] + r * (2.0 * self.c2[i] + 3.0 * r * self.c3[i])
 
 
-class _SampleStore:
-    """The samples and transforms of one function, shared by every s it serves.
+#: the rule's reach in tau: exp-sinh nodes x - b from 1e-200 to past the
+#: ladder's last window, 2^120; tanh-sinh nodes to about 1e-200 half-widths
+#: from either end, where cosh(pi/2 sinh tau)^2 stays below 1e200
+EXP_SINH_TAU = (-math.asinh(400.0 * math.log(10.0) / math.pi), math.asinh(240.0 * LN2 / math.pi))
+TANH_SINH_TAU = math.asinh(200.0 * math.log(10.0) / math.pi)
 
-    ``ladder[k]`` is the tail penalty log(1 + |h(2^k)|) of the truncation
-    search (inf where h overflows), grown one rung at a time as searches
-    reach it, so a function defined only on a window raises where a search
-    leaves the window, never earlier.  ``passes`` maps a quadrature pass,
-    (T, number of nodes), to h at its nodes: every transform integrates
-    with ``TRANSFORM_QUADRATURE``, so the nodes of a pass over [0, T]
-    depend on nothing else.  ``transforms`` maps each s served to its
-    transform, from the values given on; a sweep writes it under the lock.
-    """
+#: the first level whose change is tested, and the last: steps 1 to 2^-12 in tau
+FIRST_TESTED_LEVEL, MAX_LEVEL = 3, 12
+
+#: most terms exp(-s x) w h one block of a level sum computes at once
+BLOCK_TERMS = 65536
+
+#: most kinks a rule is cut at, the nearest 0 first: each piece costs as
+#: many nodes as [0, inf) does, and a tree with thousands of abs calls is valid input
+MAX_KINKS = 16
+
+
+def _level_taus(lo: float, hi: float, level: int) -> np.ndarray:
+    """The taus in [lo, hi] ``level`` adds: integers, then odd multiples of 2^-level."""
+    k = np.arange(math.ceil(lo * 2 ** level), math.floor(hi * 2 ** level) + 1)
+    return (k if level == 0 else k[k % 2 == 1]) / 2.0 ** level
+
+
+class _Rule:
+    """The double-exponential rule of one function (Takahasi & Mori 1974),
+    shared by every s it serves: [0, inf) cut at the kinks the expression
+    names, tanh-sinh nodes on each finite piece and exp-sinh nodes on the
+    last, all on trapezoid steps 2^-j in tau.  ``levels[j]`` holds the nodes
+    level j adds, sorted in x, their weights dx/dtau, and h at a prefix of
+    them that grows as windows reach further.  ``ladder[k]`` is the tail
+    penalty log(1 + |h(2^k)|) (inf where h overflows), grown one rung at a
+    time, so a function defined only on a window raises where a search
+    leaves it.  ``transforms`` maps each s served to its value."""
 
     def __init__(self, h: Callable[[np.ndarray], np.ndarray], transforms=()):
         # an Expr is callable too: Expr.__call__ is evaluate
         self.fn = lambda pts: np.asarray(h(pts), dtype=float)
-        self.ladder: list[float] = []
-        self.passes: dict[tuple[float, int], np.ndarray] = {}
+        cuts = (0.0, *(breakpoints(h, 0.0, 2.0 ** 120)[:MAX_KINKS] if isinstance(h, Expr) else ()))
+        self.pieces = [(lo, hi, 0.5 * hi - 0.5 * lo) for lo, hi in zip(cuts, cuts[1:])]
+        self.tail, self.ladder, self.levels = cuts[-1], [], []
         self.transforms: dict[float, float] = dict(transforms)
         self.lock = threading.Lock()
 
@@ -232,152 +240,154 @@ class _SampleStore:
             self.ladder.append(penalty)
         return self.ladder[k]
 
-    def values(self, T: float, points: np.ndarray) -> np.ndarray:
-        key = (T, points.size)
-        if key not in self.passes:
-            self.passes[key] = self.fn(points)
-        return self.passes[key]
+    def level(self, j: int, reach: float) -> list[np.ndarray]:
+        """Level ``j``'s nodes, weights and h, sampled at every node up to ``reach``."""
+        while len(self.levels) <= j:
+            tau = _level_taus(-TANH_SINH_TAU, TANH_SINH_TAU, len(self.levels))
+            y = 0.5 * math.pi * np.sinh(tau)
+            # tanh-sinh nodes placed from the nearer end, free of cancellation
+            edge, weight = 2.0 / (1.0 + np.exp(2.0 * np.abs(y))), np.cosh(tau) / np.cosh(y) ** 2
+            parts = [(np.where(y < 0.0, lo + half * edge, hi - half * edge),
+                      0.5 * math.pi * half * weight) for lo, hi, half in self.pieces]
+            tau = _level_taus(*EXP_SINH_TAU, len(self.levels))
+            gap = np.exp(0.5 * math.pi * np.sinh(tau))
+            parts.append((self.tail + gap, 0.5 * math.pi * np.cosh(tau) * gap))
+            self.levels.append([np.concatenate(column) for column in zip(*parts)] + [np.empty(0)])
+        x, _, hx = entry = self.levels[j]
+        if (sampled := int(np.searchsorted(x, reach, side="right"))) > hx.size:
+            entry[2] = np.concatenate((hx, self.fn(x[hx.size:sampled])))
+        return entry
 
 
-def _truncation_exponent(store: _SampleStore, s: np.ndarray, target: np.ndarray,
-                         start: int = 0) -> np.ndarray:
-    """For every i, the smallest k >= ``start`` whose T = 2^k satisfies
-    exp(-s_i T) (1+|h(T)|) (1+1/s_i) <= target_i.
+def _level_sums(rule: _Rule, j: int, s: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum exp(-s_i x) h(x) dx/dtau over the nodes x <= T_i of level ``j``, a
+    prefix.  Each row spans the whole level, zero past its window, and is
+    summed alone, pairwise: one order, so a value has the bits of its s alone."""
+    x, w, hx = rule.level(j, float(T.max()))
+    ends = np.searchsorted(x, T, side="right")
+    reach = int(ends.max())
 
-    The searches climb the ladder together, one rung at a time, and only as
-    far as the furthest of them needs.  A search for a tighter target may
-    resume at the window of a looser one: every rung below it failed the
-    looser target, so it fails the tighter one too, and the window found
-    is the same."""
+    def rows(part: slice) -> np.ndarray:
+        terms = np.zeros((ends[part].size, x.size))
+        block = terms[:, :reach]
+        np.exp(np.multiply.outer(-s[part], x[:reach], out=block), out=block)
+        block *= w[:reach]  # exp(-s x) w first: w h may overflow where the term does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            block *= hx[:reach]
+            np.copyto(block, 0.0, where=np.arange(reach) >= ends[part, None])
+            return terms.sum(axis=1)
+
+    return _batched(rows, np.empty(s.size), cost=x.size, nodes=BLOCK_TERMS)
+
+
+def _integrals(rule: _Rule, s: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The rule's integrals of exp(-s_i x) h(x) over [0, T_i]: level j, the
+    trapezoid sum of step 2^-j, is half the last plus its own nodes.  An s
+    stops at the first level from ``FIRST_TESTED_LEVEL`` on that moves it by
+    at most ``TRANSFORM_TOL`` relative (to at least 2^-1022, so a subnormal
+    value can stop); a sum not finite, or no stop by ``MAX_LEVEL``, raises."""
+    out, pending, prev = np.empty(s.size), np.arange(s.size), np.zeros(s.size)
+    for j in range(MAX_LEVEL + 1):
+        cur = 0.5 * prev + 2.0 ** -j * _level_sums(rule, j, s[pending], T[pending])
+        if (bad := np.flatnonzero(~np.isfinite(cur))).size:
+            raise DivergentIntegralError(
+                f"the transform is not finite at s = {float(s[pending[bad[0]]])!r}")
+        if j >= FIRST_TESTED_LEVEL:
+            done = np.abs(cur - prev) <= TRANSFORM_TOL * np.maximum(np.abs(cur), 2.0 ** -1022)
+            out[pending[done]] = cur[done]
+            pending, cur = pending[~done], cur[~done]
+            if not pending.size:
+                return out
+        prev = cur
+    raise DivergentIntegralError(f"the transform did not converge in {MAX_LEVEL} levels "
+                                 f"at s = {float(s[pending[0]])!r}")
+
+
+def _truncation_exponent(rule: _Rule, s: np.ndarray, target: np.ndarray,
+                         start: np.ndarray | int = 0) -> np.ndarray:
+    """For every i, the smallest k >= ``start_i`` whose T = 2^k satisfies
+    exp(-s_i T) (1+|h(T)|) (1+1/s_i) dx/dtau(T) <= target_i (the exp-sinh
+    map's dx/dtau: a jump where the rule's sum ends would move every level
+    by about its size times the step).  The searches climb the ladder
+    together, as far as the furthest needs; a tighter target may resume at
+    a looser one's window, since every rung below failed the looser one."""
     # the logs in scalar arithmetic: the bits of a search for one s
     log_target = np.array([math.log(x) for x in target.tolist()])
     log_factor = np.array([math.log1p(1.0 / x) for x in s.tolist()])
-    k, searching = np.full(s.size, start), np.arange(s.size)
-    for rung in range(start, 120):
+    start = np.broadcast_to(start, s.shape)
+    k, searching = start.copy(), np.arange(s.size)
+    for rung in range(int(start.min()) if s.size else 0, 120):
         if not searching.size:
-            return k
-        bound = -s[searching] * 2.0 ** rung + store.rung(rung) + log_factor[searching]
-        hit = bound <= log_target[searching]
+            break
+        stretch = rung * LN2 + math.log(0.5 * math.pi * math.hypot(1.0, 2.0 / math.pi * rung * LN2))
+        bound = -s[searching] * 2.0 ** rung + rule.rung(rung) + stretch + log_factor[searching]
+        hit = (bound <= log_target[searching]) & (start[searching] <= rung)
         k[searching[hit]] = rung
         searching = searching[~hit]
-    if not searching.size:
-        return k
-    raise DivergentIntegralError(
-        "no truncation window: the function outgrows exp(-s t) "
-        f"at s = {float(s[searching[0]])!r}"
-    )
+    if searching.size:
+        raise DivergentIntegralError("no truncation window: the function outgrows exp(-s t) "
+                                     f"at s = {float(s[searching[0]])!r}")
+    return k
 
 
-def _refined_exponent(store: _SampleStore, s: np.ndarray, values: np.ndarray,
-                      k: int) -> np.ndarray:
-    """The windows, from 2^k on, where the tail bound is small relative to
-    ``values``, the transforms at s over [0, 2^k]; a row whose value is 0,
-    or not finite, keeps 2^k."""
-    refined = np.full(s.size, k)
-    rows = np.flatnonzero((values != 0.0) & np.isfinite(values))
-    if rows.size:
-        # floored at the smallest normal float, 2^-1022: a subnormal value's
-        # target would round to 0
-        target = np.maximum(np.minimum(TAIL_BOUND, 1e-14 * np.abs(values[rows])), 2.0 ** -1022)
-        refined[rows] = _truncation_exponent(store, s[rows], target, start=k)
-    return refined
-
-
-def _transform_rows(store: _SampleStore,
-                    T: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The integrands exp(-s x) h(x) over [0, T], one row per s."""
-    def rows(s: np.ndarray, points: np.ndarray) -> np.ndarray:
-        out = np.multiply(points, -s[:, None])
-        np.exp(out, out=out)
-        out *= store.values(T, points)
-        return out
-
-    return rows
-
-
-def _sweep_all(store: _SampleStore, s_values: list[float]) -> dict[float, float]:
-    """The transforms of the store's function at every s of ``s_values``.
-
-    Every s has a first window 2^k from the absolute tail target, and the
-    s of one window share each pass over [0, 2^k].  The first pass of an s
-    sets its refined window, where the tail bound is small relative to
-    that value.  An s whose window stays refines on from that pass, and is
-    checked again against its converged value; one that moves, then or
-    at the check, is integrated anew at its refined window, once.  No
-    integral is computed at a window it then leaves, unless the first
-    pass misjudged it.  Windows only grow, so they are served smallest
-    first."""
-    cfg = TRANSFORM_QUADRATURE
+def _transforms(rule: _Rule, s_values: list[float]) -> dict[float, float]:
+    """The transforms of the rule's function at every s of ``s_values``.
+    Every s has a first window from the absolute tail target, past the last
+    kink, where h may grow from 0; its sum of step 1/8 there sets the
+    refined window, and the integral there sets it again, until it stays."""
     s = np.array(list(dict.fromkeys(s_values)))
     refused = ~(s > 0.0)  # NaN too
     if refused.any():
         raise NonPositiveSError(
             f"transform variable must be positive, got {float(s[refused][0])!r}")
-    windows = _truncation_exponent(store, s, np.full(s.size, TAIL_BOUND))
-    pending: dict[int, list[float]] = {}
-    for x, k in zip(s.tolist(), windows.tolist()):
-        pending.setdefault(k, []).append(x)
-    moved: set[float] = set()
-    out: dict[float, float] = {}
-    while pending:
-        k = min(pending)
-        T, rows = 2.0 ** k, np.array(pending.pop(k))
-        integrand = _transform_rows(store, T)
-        first = composite_gauss_legendre(integrand, 0.0, T, cfg, cfg.subintervals, rows=rows)
-        unmoved = np.array([x not in moved for x in rows.tolist()], dtype=bool)
-        to = np.full(rows.size, k)
-        to[unmoved] = _refined_exponent(store, rows[unmoved], first[unmoved], k)
-        stay = np.flatnonzero(to == k)
-        values = integrate(integrand, 0.0, T, cfg, absolute_floor=0.0, rows=rows[stay],
-                           first=first[stay])
-        check = unmoved[stay]
-        to[stay[check]] = _refined_exponent(store, rows[stay[check]], values[check], k)
-        kept = to[stay] == k
-        out.update(zip(rows[stay[kept]].tolist(), values[kept].tolist()))
-        for x, window in zip(rows[to != k].tolist(), to[to != k].tolist()):
-            pending.setdefault(window, []).append(x)
-            moved.add(x)
-    return out
 
+    def refined(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The windows from 2^k on where the tail bound is small relative to
+        ``values`` (at least 2^-1022); a value 0 or not finite keeps 2^k."""
+        k, rows = k.copy(), np.flatnonzero((values != 0.0) & np.isfinite(values))
+        target = np.maximum(np.minimum(TAIL_BOUND, 1e-14 * np.abs(values[rows])), 2.0 ** -1022)
+        k[rows] = _truncation_exponent(rule, s[rows], target, start=k[rows])
+        return k
 
-def _sweep(store: _SampleStore, s_values: list[float]) -> dict[float, float]:
-    """``_sweep_all``, where a set that fails raises what its first failing
-    s raises alone: on a failure each s is swept alone, in order."""
-    try:
-        return _sweep_all(store, s_values)
-    except Exception:  # any failure, h's own included; always raised again
-        if len(s_values) > 1:
-            for s in s_values:
-                _sweep_all(store, [s])
-        raise
+    k = _truncation_exponent(rule, s, np.full(s.size, TAIL_BOUND),
+                             start=max(0, math.floor(math.log2(rule.tail)) + 1) if rule.tail else 0)
+    k = refined(2.0 ** -FIRST_TESTED_LEVEL * sum(
+        _level_sums(rule, j, s, 2.0 ** k) for j in range(FIRST_TESTED_LEVEL + 1)), k)
+    values, moved = np.empty(s.size), np.arange(s.size)
+    while moved.size:
+        values[moved] = _integrals(rule, s[moved], 2.0 ** k[moved])
+        moved, k = np.flatnonzero((grown := refined(values, k)) != k), grown
+    return dict(zip(s.tolist(), values.tolist()))
 
 
 def forward_laplace(h: Callable[[np.ndarray], np.ndarray], s: float, *,
-                    _store: _SampleStore | None = None, _batch=()) -> float:
-    """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail.
+                    _rule: _Rule | None = None, _batch=()) -> float:
+    """Numeric transform int_0^T exp(-s t) h(t) dt with a certified tail, by
+    a double-exponential rule (``_Rule``), halving its step in tau until two
+    levels agree to ``TRANSFORM_TOL`` relative.  T satisfies exp(-sT) (1 +
+    h(T)) (1 + 1/s) dx/dtau(T) <= 1e-12, and is then extended until the
+    bound is small relative to the value itself (the Stehfest weights would
+    amplify absolute tail errors).  ``h`` must be defined and polynomially
+    bounded on [0, inf); exponential growth, a sum that is not finite and
+    one that does not converge raise :class:`DivergentIntegralError`.
 
-    T satisfies exp(-sT) (1 + h(T)) (1 + 1/s) <= 1e-12 and is then extended
-    until the same bound is small relative to the transform value itself
-    (absolute tail errors at different s would otherwise be amplified by the
-    Stehfest weights).  ``h`` must be defined and polynomially bounded on
-    [0, inf); exponential growth raises :class:`DivergentIntegralError`.
-
-    ``h`` is sampled through a sample store: the truncation ladder h(2^k)
-    and h at the nodes of each quadrature pass.  ``transform_of`` passes
-    its store, shared by every s it serves, and the ``_batch`` of s it asks
-    for: the first call for an s of the batch sweeps every s of it missing
-    from the store's table into that table.  Called alone, the transform
-    sweeps its one s with a store of its own.  Either way the values are
-    the same bits, and a sweep that fails raises what its first failing s
-    raises alone.
+    ``transform_of`` passes its rule and the ``_batch`` of s it asks for:
+    the first call for an s of the batch transforms every s of it missing
+    from the rule's table.  Either way the values are the same bits, and a
+    batch that fails raises what its first failing s raises alone.
     """
     s = float(s)
-    store = _SampleStore(h) if _store is None else _store
-    with store.lock:
-        if s not in store.transforms:
-            batch = [x for x in _batch if x not in store.transforms] if s in _batch else [s]
-            store.transforms.update(_sweep(store, batch))
-        return store.transforms[s]
+    rule = _Rule(h) if _rule is None else _rule
+    with rule.lock:
+        if s not in rule.transforms:
+            batch = [x for x in _batch if x not in rule.transforms] if s in _batch else [s]
+            try:
+                rule.transforms.update(_transforms(rule, batch))
+            except Exception:  # any failure, h's own too: raise the first failing s's own
+                for x in batch if len(batch) > 1 else ():
+                    _transforms(rule, [x])
+                raise
+        return rule.transforms[s]
 
 
 #: dropped closures' transform tables by rendered text, least recently used first
@@ -409,35 +419,33 @@ def transform_of(h: Callable[[np.ndarray], np.ndarray]) -> Callable:
     The closure takes one s and returns a float, or a list, tuple or array
     of s and returns an array of their values: the s it has not seen are
     the batch of each of their ``forward_laplace`` calls, so the first of
-    them transforms them all in one sweep.  A solver asks this way, once
-    per stage, for every s the stage inverts from.
+    them transforms them all.  A solver asks this way, once per stage, for
+    every s the stage inverts from.  The closure owns one rule of ``h``
+    (``_Rule``): h is sampled once per truncation rung and once per node of
+    each level reached, whatever the number of s served.
 
-    The closure owns one sample store of ``h`` (see ``forward_laplace``):
-    h is evaluated once per truncation rung and once per quadrature pass,
-    whatever the number of s served; the samples live as long as the
-    closure, which a solver keeps for one solve.  The store's table of an
-    ``Expr`` starts from a copy of the values kept under ``render(h)`` and
-    is kept in their place when the closure is dropped (``_keep``), up to
-    ``KEPT_TRANSFORM_VALUES`` values in the process: a later solve with the
-    same expression, a distortion say, transforms only the s it has not
-    seen, and a solve never loses values under it.  The key is the text
-    that evaluates identically, not ``Expr`` equality: ``t*0.0 == t*-0.0``,
-    yet the two evaluate to zeros of opposite sign.  A transform depends
-    only on how h evaluates and on s, so a kept value has the bits of a
-    fresh one.  A callable's values live with its closure.
+    The rule's table of an ``Expr`` starts from a copy of the values kept
+    under ``render(h)`` and is kept in their place when the closure is
+    dropped (``_keep``), up to ``KEPT_TRANSFORM_VALUES`` values in the
+    process: a later solve with the same expression, a distortion say,
+    transforms only the s it has not seen.  The key is the text that
+    evaluates identically, not ``Expr`` equality: ``t*0.0 == t*-0.0``, yet
+    the two evaluate to zeros of opposite sign.  A transform depends only
+    on how h evaluates and on s, so a kept value has the bits of a fresh
+    one.  A callable's values live with its closure.
     """
     key = render(h) if isinstance(h, Expr) else None
     with _KEPT_LOCK:
-        store = _SampleStore(h, _KEPT.get(key, ()))
-    memo = store.transforms
+        rule = _Rule(h, _KEPT.get(key, ()))
+    memo = rule.transforms
 
     def fn(s):
         if not isinstance(s, (list, tuple, np.ndarray)):
-            return memo[s] if s in memo else forward_laplace(h, s, _store=store)
+            return memo[s] if s in memo else forward_laplace(h, s, _rule=rule)
         wanted = [float(x) for x in s]
         missing = [x for x in dict.fromkeys(wanted) if x not in memo]
         for x in missing:
-            forward_laplace(h, x, _store=store, _batch=missing)
+            forward_laplace(h, x, _rule=rule, _batch=missing)
         return np.array([memo[x] for x in wanted])
 
     if key is not None:

@@ -29,11 +29,6 @@ MAX_ROW_NODES = 2 ** 22
 #: enough that the expression temporaries stay in cache and peak memory stays flat
 BATCH_NODES = 8192
 
-#: most values a pass of many integrands over one interval computes at once
-#: (see ``composite_gauss_legendre``): an integrand there is a few
-#: elementwise passes over a block, so larger blocks pay less call overhead
-BLOCK_NODES = 65536
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -107,11 +102,10 @@ def _batched(fn, out: np.ndarray, cost: int = 1, nodes: int | None = None) -> np
 
 
 def _dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The pass of each row of ``values``, its dot with the weights (one
-    row of weights for all, or one per row): a stack of (1 x n) @ (n x 1)
-    products, each the bits of ``row @ w``, where a single matrix-vector
-    product would sum in another order.  A sum that overflows is left to
-    the finite check of the doubling loop."""
+    """The pass of each row of ``values``, its dot with its row of weights:
+    a stack of (1 x n) @ (n x 1) products, each the bits of ``row @ w``,
+    where a single matrix-vector product would sum in another order.  A sum
+    that overflows is left to the finite check of the doubling loop."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (values[:, None, :] @ weights[..., None])[:, 0, 0]
 
@@ -140,38 +134,13 @@ def _pass_rows(lo, hi: np.ndarray, cells: int, grading: float,
     return points, weights.reshape(points.shape)
 
 
-# every transform integrates over windows [0, 2^k] on the same meshes, so
-# the passes repeat across functions, sweeps and runs in one process, and
-# their nodes are kept
-@lru_cache(maxsize=64)
-def _pass_nodes(a: float, b: float, cells: int, grading: float,
-                nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat nodes and folded weights of one pass over [a, b]."""
-    points, weights = _pass_rows(a, np.array([b]), cells, grading, nodes)
-    points.flags.writeable = weights.flags.writeable = False
-    return points[0], weights[0]
-
-
-def composite_gauss_legendre(
-    fn: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    subintervals: int,
-    rows: np.ndarray | None = None,
-) -> float | np.ndarray:
+def composite_gauss_legendre(fn: Callable, a: float, b: float, cfg: QuadratureConfig,
+                             subintervals: int) -> float:
     """One pass on a mesh of ``subintervals`` cells; ``fn`` must map an
-    ndarray of points to values.  Given ``rows``, an array of row labels,
-    ``fn(labels, points)`` maps some of them to one row of values each,
-    and the pass returns one value per row: blocks of whole rows, of at
-    most BLOCK_NODES values, are computed at once, and each row is then
-    reduced with its own dot, the bits of its pass alone."""
-    points, weights = _pass_nodes(a, b, subintervals, cfg.endpoint_grading,
-                                  cfg.nodes_per_subinterval)
-    if rows is None:
-        return float(_dots(np.asarray(fn(points), dtype=float)[None], weights)[0])
-    return _batched(lambda part: _dots(fn(rows[part], points), weights),
-                    np.empty(len(rows)), cost=points.size, nodes=BLOCK_NODES)
+    ndarray of points to values."""
+    points, weights = _pass_rows(a, np.array([b]), subintervals, cfg.endpoint_grading,
+                                 cfg.nodes_per_subinterval)
+    return float(_dots(np.asarray(fn(points[0]), dtype=float)[None], weights)[0])
 
 
 def _require_finite(values: np.ndarray, pending: np.ndarray,
@@ -186,23 +155,21 @@ def _require_finite(values: np.ndarray, pending: np.ndarray,
 
 
 def _doubling(pass_of: Callable[[np.ndarray, int], np.ndarray], size: int,
-              cfg: QuadratureConfig, floor: float, where: Callable[[int], str],
-              first: np.ndarray | None = None) -> np.ndarray:
+              cfg: QuadratureConfig, where: Callable[[int], str]) -> np.ndarray:
     """The mesh-doubling loop of ``size`` rows, where ``pass_of(pending,
     cells)`` is the pass of the rows ``pending`` on meshes of ``cells``
     cells.  A row stops at the first doubling that changes it by at most
-    refinement_tolerance * (floor + |value|), and its value is that pass;
-    ``first`` is the pass on the first mesh, when it has been taken.  The
-    first pass that is not finite, or the first row still pending after
+    refinement_tolerance * (1 + |value|), and its value is that pass.
+    The first pass that is not finite, or the first row still pending after
     max_refinements doublings, raises, named by ``where(row)``."""
     cells, pending, out = cfg.subintervals, np.arange(size), np.empty(size)
     if not size:
         return out
-    prev = _require_finite(pass_of(pending, cells) if first is None else first, pending, where)
+    prev = _require_finite(pass_of(pending, cells), pending, where)
     for _ in range(cfg.max_refinements):
         cells *= 2
         cur = _require_finite(pass_of(pending, cells), pending, where)
-        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (floor + np.abs(cur))
+        done = np.abs(cur - prev) <= cfg.refinement_tolerance * (1.0 + np.abs(cur))
         out[pending[done]] = cur[done]
         pending, prev = pending[~done], cur[~done]
         if not pending.size:
@@ -211,50 +178,23 @@ def _doubling(pass_of: Callable[[np.ndarray, int], np.ndarray], size: int,
                                  f"mesh doublings{where(int(pending[0]))}")
 
 
-def integrate(
-    fn: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    absolute_floor: float = 1.0,
-    rows: np.ndarray | None = None,
-    first: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Integrate ``fn`` over [a, b] with mesh-doubling refinement.
-
-    Stops once |change| <= refinement_tolerance * (absolute_floor + |value|);
-    a failure to converge within ``max_refinements``, or a pass that is not
-    finite, raises :class:`DivergentIntegralError`.  Given ``rows``, an
-    array of row labels, ``fn(labels, points)`` is one integrand per label
-    (see :func:`composite_gauss_legendre`): the rows share each pass over
-    [a, b], each stops on its own, and one value per row is returned, each
-    the bits of its integral alone.  ``first`` is the rows' pass on the
-    first mesh, when the caller has taken it.  The transforms integrate
-    here, one call per truncation window: their rows share the nodes of
-    the passes over [0, T], which are kept.
-    """
-    if rows is None:
-        def pass_of(pending, cells):
-            return np.array([composite_gauss_legendre(fn, a, b, cfg, cells)])
-    else:
-        def pass_of(pending, cells):
-            return composite_gauss_legendre(fn, a, b, cfg, cells, rows=rows[pending])
-    size = 1 if rows is None else len(rows)
-    values = (np.zeros(size) if b == a
-              else _doubling(pass_of, size, cfg, absolute_floor, lambda _: "", first))
-    return float(values[0]) if rows is None else values
+def integrate(fn: Callable, a: float, b: float,
+              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """Integrate ``fn`` over [a, b] with mesh-doubling refinement: the one
+    row of :func:`integrate_rows`, whose failures it raises unnamed."""
+    return float(integrate_rows(lambda rows, x: fn(x), a, np.array([float(b)]), cfg)[0])
 
 
 def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: np.ndarray,
-                   cfg: QuadratureConfig = DEFAULT_QUADRATURE, *, at: np.ndarray) -> np.ndarray:
+                   cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
+                   at: np.ndarray | None = None) -> np.ndarray:
     """int_{lo_i}^{hi_i} fn(i, x) dx for every row i (0 where lo_i = hi_i; lo
     a scalar or like hi), where ``fn(rows, x)`` gets each node's row.  Each
-    row is :func:`integrate`'s value, bit for bit: its nodes, its dot and its
-    stop rule with floor 1.  A pass sweeps batches of whole rows of at most
-    BATCH_NODES nodes (a larger row goes alone, evaluated BATCH_NODES at a
-    time).  The first row that does not converge, or the first whose pass
-    is not finite, raises, named by ``at[i]``."""
+    row has the bits of its integral alone: its nodes, a vector dot and the
+    stop rule of ``_doubling``.  A pass sweeps batches of whole rows of at
+    most BATCH_NODES nodes (a larger row goes alone, evaluated BATCH_NODES
+    at a time).  The first row that does not converge, or the first whose
+    pass is not finite, raises, named by ``at[i]`` where given."""
     lo, per_cell = np.broadcast_to(lo, hi.shape), cfg.nodes_per_subinterval
 
     def rows_pass(pending: np.ndarray, cells: int) -> np.ndarray:
@@ -275,8 +215,8 @@ def integrate_rows(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi: n
     out = np.zeros(hi.shape)
     nonempty = np.flatnonzero(hi != lo)
     out[nonempty] = _doubling(lambda pending, cells: rows_pass(nonempty[pending], cells),
-                              nonempty.size, cfg, 1.0,
-                              lambda i: f" at t = {float(at[nonempty[i]])!r}")
+                              nonempty.size, cfg,
+                              lambda i: "" if at is None else f" at t = {float(at[nonempty[i]])!r}")
     return out
 
 

@@ -33,9 +33,10 @@ def test_traced_name_resolves(module_name, path):
 
 def test_traced_derive_shows_the_transform_layers():
     # transforms share their samples, so evaluate runs less often than
-    # forward_laplace; the trace must still see transforms, quadrature
-    # passes and the truncation search's own evaluations, in a derive and
-    # in an identify, whose transforms are swept many s at a time
+    # forward_laplace; the trace must still see transforms and their own
+    # evaluations (the ladder's and the rule's levels), in a derive and in
+    # an identify, whose transforms take many s at a time.  Transforms take
+    # no Gauss-Legendre pass, and no other layer of an inverse solve does
     from choqint.cli import main
 
     for argv in (["derive", "--f", "pow(t-1,3.5)", "--m", "t^2/2", "--a", "1",
@@ -54,6 +55,6 @@ def test_traced_derive_shows_the_transform_layers():
         metrics = {name: value for name, (value, _) in tracer.metrics().items()}
         assert code == 0, argv[0]
         assert metrics["laplace.transforms"] > 0, argv[0]
-        assert metrics["quadrature.passes"] > 0, argv[0]
+        assert metrics["quadrature.passes"] == 0, argv[0]
         assert metrics["laplace.truncation.evaluate_calls"] > 0, argv[0]
         assert metrics["exprlang.evaluate.calls"] < metrics["laplace.transforms"], argv[0]

@@ -35,11 +35,10 @@ from choqint.exprlang import Expr, Mul, Num, Var, render
 from choqint.laplace import (
     KEPT_TRANSFORM_VALUES,
     TAIL_BOUND,
-    TRANSFORM_QUADRATURE,
     _KEPT,
     _CubicSpline,
-    _SampleStore,
     _inversion_grid,
+    _Rule,
     _truncation_exponent,
     forward_laplace,
     stehfest_weights,
@@ -138,20 +137,55 @@ class TestForwardLaplace:
         assert len(calls) == n_calls
 
 
+def stehfest_nodes_of_grid(points: int) -> np.ndarray:
+    """The distinct Stehfest-16 nodes of offsets 3/points .. 3."""
+    return np.array(sorted(set(stehfest_nodes(np.linspace(3.0 / points, 3.0, points)))))
+
+
+class TestClosedForms:
+    """The double-exponential rule meets closed-form transforms to the
+    rounding floor at every node a solve reads, and a ramp, split at its
+    kink, exactly."""
+
+    @pytest.mark.parametrize("points", [10, 50, 200])
+    @pytest.mark.parametrize("src,exact", [
+        *[(f"1.7*pow(t, {p!r})", lambda s, p=p: 1.7 * math.gamma(p + 1.0) / s ** (p + 1.0))
+          for p in (-0.3, 0.55, 1.0, 2.1, 5.5)],
+        ("exp(0.1*t)", lambda s: 1.0 / (s - 0.1)),
+        ("sqrt(t)", lambda s: math.sqrt(math.pi) / 2.0 / s ** 1.5),
+    ])
+    def test_at_the_stehfest_nodes_of_a_grid(self, points, src, exact):
+        s = stehfest_nodes_of_grid(points)
+        want = np.array([exact(x) for x in s.tolist()])
+        got = transform_of(parse(src))(s)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.7, 1.0, 3.0])
+    def test_a_ramp_is_exact(self, c):
+        s = np.geomspace(0.3, 30.0, 200)
+        got = transform_of(parse(f"(t - {c!r} + abs(t - {c!r}))/2"))(s)
+        want = np.exp(-c * s) / s ** 2
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 #: 32 transform variables whose truncation windows run from 1 to 1024,
 #: served out of order
 SHARED_S = np.geomspace(0.05, 40.0, 32)[np.random.default_rng(0).permutation(32)]
 
 
 def spied(h):
-    """``h`` and the log of its calls, one (size, largest point) per call."""
+    """``h`` and the log of its calls, one (size, largest point) per call;
+    ``fn.points`` keeps the points of the calls of more than one point."""
     calls = []
 
     def fn(points):
         points = np.asarray(points)
         calls.append((points.size, float(points.max())))
+        if points.size > 1:
+            fn.points.extend(points.tolist())
         return h(points)
 
+    fn.points = []
     return fn, calls
 
 
@@ -180,22 +214,30 @@ class TestSharedSamples:
             forward_laplace(h, 0.5)
         assert F(4.0) == forward_laplace(h, 4.0)
 
-    def test_each_rung_and_pass_is_evaluated_once(self):
+    def test_each_rung_and_node_is_evaluated_once(self):
+        # s served one at a time, out of order: a level's samples grow with
+        # the windows, and no point is sampled twice
         fn, calls = spied(lambda t: np.sqrt(t) * (1.0 + t))
         F = transform_of(fn)
         for s in SHARED_S:
             F(s)
         rungs = [top for size, top in calls if size == 1]
-        # a pass over [0, T] has its last node just below T
-        passes = [(size, 2.0 ** math.ceil(math.log2(top))) for size, top in calls if size > 1]
         assert rungs == [2.0 ** k for k in range(len(rungs))]
-        assert len(passes) == len(set(passes))
-        assert len({T for _, T in passes}) >= 4
+        assert len(fn.points) == len(set(fn.points))
 
-        alone, alone_calls = spied(lambda t: np.sqrt(t) * (1.0 + t))
+        alone, _ = spied(lambda t: np.sqrt(t) * (1.0 + t))
         for s in SHARED_S:
             forward_laplace(alone, s)
-        assert len(alone_calls) > 5 * len(calls)
+        assert len(alone.points) > 5 * len(fn.points)
+
+    def test_one_call_samples_each_level_once(self):
+        fn, calls = spied(lambda t: np.sqrt(t) * (1.0 + t))
+        F = transform_of(fn)
+        F(SHARED_S)
+        rule = inspect.getclosurevars(F).nonlocals["rule"]
+        levels = [size for size, _ in calls if size > 1]
+        assert len(levels) == len(rule.levels)
+        assert levels == [level[2].size for level in rule.levels]
 
 
 def transformed_renders(monkeypatch) -> list:
@@ -415,9 +457,9 @@ TRUNCATED = {
 }
 
 
-def window(store, s, target, start=0):
+def window(rule, s, target, start=0):
     """The window exponent of one s, searched as a set of one."""
-    return int(_truncation_exponent(store, np.array([s]), np.array([target]), start)[0])
+    return int(_truncation_exponent(rule, np.array([s]), np.array([target]), start)[0])
 
 
 def search_outcome(search):
@@ -438,19 +480,19 @@ class TestTruncationSearch:
     @settings(max_examples=200, deadline=None)
     def test_resumed_search_finds_the_window_of_a_fresh_one(self, name, s, tighter):
         h, target = TRUNCATED[name], TAIL_BOUND * 10.0 ** -tighter
-        fresh = _SampleStore(h)
+        fresh = _Rule(h)
         from_zero = search_outcome(lambda: window(fresh, s, target))
-        store = _SampleStore(h)
-        first = search_outcome(lambda: window(store, s, TAIL_BOUND))
+        rule = _Rule(h)
+        first = search_outcome(lambda: window(rule, s, TAIL_BOUND))
         if isinstance(first, int):
             resumed = search_outcome(
-                lambda: window(store, s, target, start=first))
+                lambda: window(rule, s, target, start=first))
             assert resumed == from_zero
         else:
             # a tighter target searches at least as far, so it fails alike
             assert first == from_zero
         # the same rungs were sampled: a DomainError came at the same rung
-        assert store.ladder == fresh.ladder
+        assert rule.ladder == fresh.ladder
 
     @given(name=st.sampled_from(sorted(TRUNCATED)),
            s_values=st.lists(st.floats(min_value=0.02, max_value=60.0), min_size=1, max_size=8))
@@ -460,9 +502,9 @@ class TestTruncationSearch:
         h = TRUNCATED[name]
         alone = []
         for s in s_values:
-            store = _SampleStore(h)
-            alone.append((search_outcome(lambda: window(store, s, TAIL_BOUND)), store.ladder))
-        together = _SampleStore(h)
+            rule = _Rule(h)
+            alone.append((search_outcome(lambda: window(rule, s, TAIL_BOUND)), rule.ladder))
+        together = _Rule(h)
         windows = search_outcome(lambda: _truncation_exponent(
             together, np.array(s_values), np.full(len(s_values), TAIL_BOUND)).tolist())
         failed = [outcome for outcome, _ in alone if not isinstance(outcome, int)]
@@ -476,21 +518,21 @@ class TestTruncationSearch:
     def test_the_cases_reach_their_features(self):
         # exp(t) at s = 1.1 has a window at 2^9; a tighter target reaches
         # the rung 2^10, where exp overflows, and finds none
-        store = _SampleStore(TRUNCATED["overflow"])
-        k = window(store, 1.1, TAIL_BOUND)
+        rule = _Rule(TRUNCATED["overflow"])
+        k = window(rule, 1.1, TAIL_BOUND)
         with pytest.raises(DivergentIntegralError):
-            window(store, 1.1, 1e-30, start=k)
-        assert (k, store.ladder[10]) == (9, math.inf)
+            window(rule, 1.1, 1e-30, start=k)
+        assert (k, rule.ladder[10]) == (9, math.inf)
         # at s = 5 the search steps over the infinite rung 2^3 to 2^4
-        store = _SampleStore(TRUNCATED["hole"])
-        assert window(store, 5.0, TAIL_BOUND) == 4
-        assert store.ladder[3] == math.inf
-        # sqrt(40 - t) at s = 1 has a window at 2^5; a tighter target
+        rule = _Rule(TRUNCATED["hole"])
+        assert window(rule, 5.0, TAIL_BOUND) == 4
+        assert rule.ladder[3] == math.inf
+        # sqrt(40 - t) at s = 2 has a window at 2^5; a tighter target
         # leaves the function's window at the rung 2^6
-        store = _SampleStore(TRUNCATED["window"])
-        k = window(store, 1.0, TAIL_BOUND)
+        rule = _Rule(TRUNCATED["window"])
+        k = window(rule, 2.0, TAIL_BOUND)
         with pytest.raises(DomainError, match=re.escape("at t = 64.0")):
-            window(store, 1.0, 1e-30, start=k)
+            window(rule, 2.0, 1e-30, start=k)
         assert k == 5
 
 
@@ -542,43 +584,22 @@ class TestSweep:
             assert got.tobytes() == np.array(alone).tobytes()
             assert [F(s) for s in s_values] == got.tolist()
 
-    def test_no_integral_is_refined_at_a_window_that_is_then_left(self):
-        # t at s = 2 has its first window at 16 and its refined one at 32:
-        # over [0, 16] only the first pass is taken
-        store = _SampleStore(parse("t"))
-        assert forward_laplace(parse("t"), 2.0, _store=store) == pytest.approx(0.25, rel=1e-13)
-        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
-        assert [key for key in store.passes if key[0] == 16.0] == [(16.0, first)]
-        assert (32.0, 2 * first) in store.passes
-
-    def test_a_window_the_first_pass_misjudged_is_checked_at_the_value(self):
-        # h reads as t on the ladder and on the first mesh, and as
-        # 1e-30 t exp(2.4 t) on every finer one: at s = 2.5 the first pass
-        # keeps the window 16, and the converged value moves it to 64
-        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
-
-        def h(t):
-            return t if t.size in (1, first) else 1e-30 * t * np.exp(2.4 * t)
-
-        want = 1e-28 * (1.0 - math.exp(-6.4) * 7.4)  # 1e-30 t exp(-0.1 t) over [0, 64]
-        assert forward_laplace(h, 2.5) == pytest.approx(want, rel=1e-13, abs=0.0)
-
     def test_a_set_raises_what_its_first_failing_s_raises_alone(self):
-        # alone, 3.0 fails at its first doubling and 0.9 in its truncation
-        # search; a sweep meets the failure of 0.9 first, yet raises 3.0's
+        # alone, 3.0 fails at a level of more than 40 nodes and 0.9 in its
+        # truncation search; a set meets the failure of 0.9 first, yet
+        # raises 3.0's
         exp = parse("exp(t)")
-        first = TRANSFORM_QUADRATURE.subintervals * TRANSFORM_QUADRATURE.nodes_per_subinterval
 
         def h(t):
-            if t.size > first:
-                raise ValueError(f"no pass of {t.size} nodes")
+            if t.size > 40:
+                raise ValueError(f"no level of {t.size} nodes")
             return exp(t)
 
-        with pytest.raises(ValueError, match=f"no pass of {2 * first} nodes"):
+        with pytest.raises(ValueError, match="no level of") as alone:
             forward_laplace(h, 3.0)
         with pytest.raises(DivergentIntegralError, match=r"at s = 0\.9$"):
             forward_laplace(h, 0.9)
-        with pytest.raises(ValueError, match=f"no pass of {2 * first} nodes"):
+        with pytest.raises(ValueError, match=re.escape(str(alone.value)) + "$"):
             transform_of(h)([3.0, 0.9])
 
     def test_a_non_positive_s_fails_a_sweep_as_it_fails_alone(self):
@@ -593,13 +614,7 @@ class TestSweep:
         # Stehfest nodes of each set (nodes repeat across offsets that are
         # multiples of each other), and every forward_laplace call takes a
         # swept value
-        sweeps = []
-
-        def spy(store, s_values, _real=laplace._sweep_all):
-            sweeps.append(len(s_values))
-            return _real(store, s_values)
-
-        monkeypatch.setattr(laplace, "_sweep_all", spy)
+        sweeps = counted_sweeps(monkeypatch)
         seen = transformed_renders(monkeypatch)
         offsets = np.linspace(0.25, 3.0, 12)
         report = solve_problem3(parse("pow(t - 2, 5.5)"), parse("sqrt(t - 2)"), 2.0,
@@ -619,16 +634,16 @@ def counted_sweeps(monkeypatch) -> list:
     """The number of s of every sweep taken from now on."""
     sweeps = []
 
-    def spy(store, s_values, _real=laplace._sweep_all):
+    def spy(rule, s_values, _real=laplace._transforms):
         sweeps.append(len(s_values))
-        return _real(store, s_values)
+        return _real(rule, s_values)
 
-    monkeypatch.setattr(laplace, "_sweep_all", spy)
+    monkeypatch.setattr(laplace, "_transforms", spy)
     return sweeps
 
 
 class TestOneTable:
-    """A closure's values live in one table, its sample store's, and the
+    """A closure's values live in one table, its rule's, and the
     batch a sweep serves is an argument of each call, which no other caller
     of the closure can change."""
 
@@ -671,7 +686,7 @@ class TestOneTable:
         h = parse("sqrt(t) + t^2/2")
         sweeps = counted_sweeps(monkeypatch)
         F = transform_of(h)
-        table = inspect.getclosurevars(F).nonlocals["store"].transforms
+        table = inspect.getclosurevars(F).nonlocals["rule"].transforms
         first = F(1.0)
         values = F([3.0, 1.0, 2.0, 3.0])
         assert sweeps == [1, 2]
@@ -736,11 +751,12 @@ class TestArrayReads:
             assert [s.tolist() for s in seen] == [stehfest_nodes(u) for u in stages]
 
     def test_a_vanishing_quotient_names_its_first_node(self):
-        # the first offset's third node: its first two do not vanish
-        d = Distortion.from_expression("t", upper=3.0)
+        # the first offset's third node: s M(s) = 20!/s^20 passes 1e-280
+        # between its second and third nodes
+        d = Distortion.from_expression("t^20", upper=3.0)
         with pytest.raises(GVanishesError,
-                           match=re.escape("s M(s) vanished at s = 2.079441541679836e+20") + "$"):
-            solve_problem2(parse("t"), d, 0.0, [1e-20, 1.0, 2.0])
+                           match=re.escape("s M(s) vanished at s = 1039720770839917.9") + "$"):
+            solve_problem2(parse("t"), d, 0.0, [2e-15, 1.0, 2.0])
         with pytest.raises(GVanishesError,
                            match=re.escape("s G_a(s) vanished at s = 2.3104906018664844") + "$"):
             solve_problem3(parse(QUADRATIC), parse("0"), 0.0, np.linspace(0.3, 2.0, 5))
@@ -1170,6 +1186,28 @@ class TestCubicSpline:
         with pytest.raises(ValueError) as excinfo:
             _CubicSpline(x, np.zeros(len(x)))
         assert type(excinfo.value) is ValueError
+
+
+class TestTranslationInvariance:
+    """Exact rebasing: a solve on [a, t] is as accurate at any origin a as at
+    a = 0, since the rebased f and g are the expressions in t - a."""
+
+    @pytest.mark.parametrize("a", [50.0, 1e3, -1e3])
+    def test_derive_and_identify(self, a):
+        def errors(a):
+            grid = a + np.linspace(0.2, 2.0, 10)
+            d = Distortion.from_expression("t^1.5", upper=3.0)
+            derived = solve_problem2(parse(f"pow(t - ({a!r}), 2.7)"), d, a, grid)
+            g = (grid - a) ** 1.2 / (1.5 * math.gamma(1.5) * math.gamma(2.2) / math.gamma(3.7))
+            f = f"{1.5 * math.gamma(1.5) ** 2 / math.gamma(3.0)!r}*pow(t - ({a!r}), 2)"
+            identified = solve_problem3(parse(f), parse(f"sqrt(t - ({a!r}))"), a, grid)
+            m = identified.grid ** 1.5
+            assert derived.verdict is identified.verdict is Verdict.EXISTS
+            return (np.max(np.abs(derived.values - g) / g),
+                    np.max(np.abs(identified.values - m) / m))
+
+        at_zero = errors(0.0)
+        assert all(err <= 1.25 * zero for err, zero in zip(errors(a), at_zero)), at_zero
 
 
 class TestRoundtrips:
